@@ -4,7 +4,8 @@ Usage: ``graphlim run <config.json> [--out DIR] [--threads N]``. The config
 is a single JSON document selecting one command (simulate, audit, twisted,
 ghost, continuity, meanfield, norms) plus its parameters. Artifacts (CSV
 series, JSON reports, and a manifest) land in the output directory. Exit
-status: 0 success, 1 failed audit or experiment, 2 usage or config error.
+status: 0 success, 1 failed audit or experiment, 2 usage or config error,
+3 internal error.
 
 Reruns with the same config produce byte-identical artifacts apart from the
 manifest timestamp; every random choice is seeded explicitly.
@@ -17,17 +18,18 @@ import json
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .errors import ConfigError, config_field as _get
 from .dynamics import integrate, kuramoto_model
 from .experiments import continuity_experiment, ghost_experiment, twisted_residual, \
     twisted_state
 from .graphop import graphop_from_weighted, spherical_graphop
-from .kernels import BlockKernel, ConstantKernel, GeodesicKernel, MatrixKernel, \
-    canonical_embedding
+from .kernels import kernel_from_spec
 from .meanfield import MeasureState, integrate_meanfield
 from .norms import inf_to_one_norm_exact, inf_to_one_norm_lower
 from .space import IndexSpace, make_finite_space, make_grid_space
@@ -37,23 +39,6 @@ from .symmetry import ClusterSubspace, FixedPointSubspace, ImageSubspace, IndexM
     sphere_reflection_map, sphere_rotation_map, swap_map, torus_flip_map, \
     torus_rotation_map
 from .systems import discretize, sample_er
-
-
-class ConfigError(Exception):
-    def __init__(self, field, message):
-        super().__init__(f"field {field!r}: {message}")
-        self.field = field
-
-
-def _get(cfg, field, types, required=True, default=None):
-    if field not in cfg:
-        if required:
-            raise ConfigError(field, "missing")
-        return default
-    value = cfg[field]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(field, f"expected {types}, got {type(value).__name__}")
-    return value
 
 
 def _build_space(cfg, field="space") -> IndexSpace:
@@ -70,21 +55,9 @@ def _build_space(cfg, field="space") -> IndexSpace:
 
 
 def _build_kernel(cfg, space, field="kernel"):
-    sub = _get(cfg, field, dict)
-    variant = _get(sub, "variant", str)
-    if variant == "constant":
-        return ConstantKernel(_get(sub, "value", (int, float)))
-    if variant == "matrix":
-        return MatrixKernel(np.array(_get(sub, "values", list), dtype=np.float64))
-    if variant == "block":
-        return BlockKernel(np.array(_get(sub, "boundaries", list)),
-                           np.array(_get(sub, "values", list)))
-    if variant == "canonical":
-        return canonical_embedding(np.array(_get(sub, "adjacency", list)))
-    if variant == "geodesic":
-        return GeodesicKernel(space.geometry, _get(sub, "delta", (int, float)),
-                              dim=space.dim if space.geometry == "torus" else None)
-    raise ConfigError(f"{field}.variant", f"unknown kernel variant {variant!r}")
+    """Kernel spec from the config; geodesic geometry and dim default to the space's."""
+    return kernel_from_spec({"geometry": space.geometry, "dim": space.dim,
+                             **_get(cfg, field, dict)})
 
 
 def _build_system(cfg):
@@ -155,6 +128,12 @@ def _build_state(cfg, space, field="u0") -> np.ndarray:
     return state
 
 
+def _span(cfg):
+    """(t_end, step, sample_every) of a command that integrates."""
+    return (_get(cfg, "t_end", (int, float)), _get(cfg, "step", (int, float)),
+            cfg.get("sample_every", 1))
+
+
 def _build_model(cfg):
     sub = _get(cfg, "model", dict, required=False, default={})
     return kuramoto_model(sub.get("omega", 0.0), sub.get("alpha", 0.0))
@@ -180,10 +159,7 @@ def _run_simulate(cfg, out):
     system = _build_system(cfg)
     model = _build_model(cfg)
     u0 = _build_state(cfg, system.space)
-    traj = integrate(system, model, u0,
-                     _get(cfg, "t_end", (int, float)),
-                     _get(cfg, "step", (int, float)),
-                     cfg.get("sample_every", 1))
+    traj = integrate(system, model, u0, *_span(cfg))
     traj.to_csv(out / "trajectory.csv")
     return 0
 
@@ -209,15 +185,9 @@ def _run_ghost(cfg, out):
     n = _get(cfg, "n", int)
     space_stub = make_finite_space(np.ones(n))
     imap = _build_map(cfg, space_stub)
-    if "u0" in cfg:
-        u0 = _build_state(cfg, space_stub)
-    else:
-        raise ConfigError("u0", "missing")
+    u0 = _build_state(cfg, space_stub)
     report = ghost_experiment(n, _get(cfg, "p", (int, float)), _get(cfg, "seed", int),
-                              u0, imap,
-                              _get(cfg, "t_end", (int, float)),
-                              _get(cfg, "step", (int, float)),
-                              cfg.get("sample_every", 1))
+                              u0, imap, *_span(cfg))
     (out / "report.json").write_text(report.to_json())
     report.series_to_csv(out / "series.csv")
     return 0 if report.passed in (True, None) else 1
@@ -229,10 +199,7 @@ def _run_continuity(cfg, out):
     kernel_u = _build_kernel(cfg, space, field="kernel_u")
     u0 = _build_state(cfg, space, field="u0")
     v0 = _build_state(cfg, space, field="v0")
-    report = continuity_experiment(space, kernel_w, kernel_u, u0, v0,
-                                   _get(cfg, "t_end", (int, float)),
-                                   _get(cfg, "step", (int, float)),
-                                   cfg.get("sample_every", 1))
+    report = continuity_experiment(space, kernel_w, kernel_u, u0, v0, *_span(cfg))
     (out / "report.json").write_text(report.to_json())
     report.series_to_csv(out / "series.csv")
     return 0 if report.passed in (True, None) else 1
@@ -251,10 +218,7 @@ def _run_audit(cfg, out):
         imap = _build_map(cfg, system.space)
         model = _build_model(cfg)
         u0 = _build_state(cfg, system.space)
-        deviation = equivariance_audit(system, model, imap, u0,
-                                       _get(cfg, "t_end", (int, float)),
-                                       _get(cfg, "step", (int, float)),
-                                       cfg.get("sample_every", 1))
+        deviation = equivariance_audit(system, model, imap, u0, *_span(cfg))
         threshold = cfg.get("threshold")
         doc = {"audit": "equivariance", "deviation": deviation, "threshold": threshold,
                "passed": None if threshold is None else bool(deviation <= threshold)}
@@ -272,14 +236,10 @@ def _run_audit(cfg, out):
         elif stype == "image":
             subspace = ImageSubspace(_build_map(sub, system.space))
         elif stype == "cluster":
-            subspace = ClusterSubspace([np.array(b, dtype=np.int64)
-                                        for b in _get(sub, "blocks", list)])
+            subspace = ClusterSubspace(_get(sub, "blocks", list))
         else:
             raise ConfigError("subspace.type", f"unknown subspace type {stype!r}")
-        drift = invariance_audit(system, model, subspace, u0,
-                                 _get(cfg, "t_end", (int, float)),
-                                 _get(cfg, "step", (int, float)),
-                                 cfg.get("sample_every", 1))
+        drift = invariance_audit(system, model, subspace, u0, *_span(cfg))
         threshold = cfg.get("threshold")
         doc = {"audit": "invariance", "drift": drift, "threshold": threshold,
                "passed": None if threshold is None else bool(drift <= threshold)}
@@ -297,10 +257,7 @@ def _run_meanfield(cfg, out):
         rng = np.random.Generator(np.random.Philox(_get(sub, "seed", int)))
         m = _get(sub, "count", int)
         particles = rng.uniform(0.0, 2.0 * np.pi, (system.n, m))
-    traj = integrate_meanfield(system, MeasureState(particles),
-                               _get(cfg, "t_end", (int, float)),
-                               _get(cfg, "step", (int, float)),
-                               cfg.get("sample_every", 1))
+    traj = integrate_meanfield(system, MeasureState(particles), *_span(cfg))
     traj.to_csv(out / "particles.csv")
     return 0
 
@@ -390,12 +347,13 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.get("out", ".")
     try:
         return run_config(cfg, out_dir, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

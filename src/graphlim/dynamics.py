@@ -20,21 +20,10 @@ from .systems import CoupledSystem
 
 @dataclass(frozen=True)
 class ModelFunctions:
-    """Activation f(u, s) and coupling g(u, v), both numpy-vectorized.
-
-    ``lipschitz_f`` and ``lipschitz_g`` are optional declared Lipschitz
-    bounds (sum norm), used only by bound evaluations.
-    """
+    """Activation f(u, s) and coupling g(u, v), both numpy-vectorized."""
 
     f: object
     g: object
-    lipschitz_f: float | None = None
-    lipschitz_g: float | None = None
-
-    def __post_init__(self):
-        for k in (self.lipschitz_f, self.lipschitz_g):
-            if k is not None and k < 0:
-                raise ValueError("Lipschitz bounds must be nonnegative")
 
 
 def kuramoto_model(omega: float = 0.0, alpha: float = 0.0) -> ModelFunctions:
@@ -44,8 +33,6 @@ def kuramoto_model(omega: float = 0.0, alpha: float = 0.0) -> ModelFunctions:
     return ModelFunctions(
         f=lambda u, s: omega + s,
         g=lambda u, v: np.sin(v - u + alpha),
-        lipschitz_f=1.0,
-        lipschitz_g=1.0,
     )
 
 

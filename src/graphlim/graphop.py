@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from .errors import DegenerateFiberError
+from .kernels import _unit_symmetric
 from .space import IndexSpace
-from .systems import CoupledSystem, from_rows
+from .systems import CoupledSystem, _from_row_blocks, from_rows
 
 
 def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> CoupledSystem:
@@ -25,20 +26,10 @@ def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> 
     The matrix must be symmetric with entries in [0, 1]; zero-mass entries
     are dropped.
     """
-    w = np.asarray(values, dtype=np.float64)
+    w = _unit_symmetric(values, "weight matrix")
     if w.shape != (space.n, space.n):
         raise ValueError("weight matrix shape does not match the space")
-    if not np.array_equal(w, w.T):
-        raise ValueError("weight matrix must be symmetric")
-    if np.min(w) < 0.0 or np.max(w) > 1.0:
-        raise ValueError("weights must lie in [0, 1]")
-    mu = space.weights
-    rows = []
-    for i in range(space.n):
-        masses = w[i] * mu
-        keep = np.nonzero(masses)[0]
-        rows.append((keep, masses[keep]))
-    return from_rows(space, rows, label=label)
+    return _from_row_blocks(space, lambda lo, hi: w[lo:hi] * space.weights, label)
 
 
 def _max_grid_spacing(space: IndexSpace) -> float:

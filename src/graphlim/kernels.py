@@ -4,17 +4,39 @@ Variants: constant, block (piecewise constant on a partition of the unit
 interval, which covers embedded finite graphs), geodesic (indicator of
 geodesic distance <= delta on the circle, torus, or sphere), explicit
 matrix on an abstract space, and user-supplied evaluators. Kernels are
-immutable; ``evaluate`` is the pointwise contract and ``eval_row`` the
-vectorized one used by discretization.
+immutable; ``evaluate`` is the pointwise contract and ``eval_rows`` the
+vectorized one used by discretization. ``kernel_from_spec`` is the one
+parser of kernel specs, behind both ``kernel_from_json`` and the CLI.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
+from .errors import ConfigError, config_field
 from .space import IndexSpace
+
+
+def _unit_symmetric(values, what: str) -> np.ndarray:
+    """Values as a square symmetric float matrix with entries in [0, 1]."""
+    m = np.asarray(values, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be a square matrix")
+    if not np.array_equal(m, m.T):
+        raise ValueError(f"{what} must be symmetric")
+    if np.min(m) < 0.0 or np.max(m) > 1.0:
+        raise ValueError(f"{what} entries must lie in [0, 1]")
+    return m
+
+
+def _point_dim(geometry: str, dim: int | None, what: str) -> int:
+    """Coordinate count: 1 on the interval, 3 on the sphere, dim (default 2) on the torus."""
+    if geometry not in ("interval", "torus", "sphere2"):
+        raise ValueError(f"{what} does not support geometry {geometry!r}")
+    return {"interval": 1, "sphere2": 3}.get(geometry, 2 if dim is None else dim)
 
 
 class Kernel:
@@ -26,15 +48,14 @@ class Kernel:
     def evaluate(self, x, y) -> float:
         raise NotImplementedError
 
-    def eval_row(self, space: IndexSpace, i: int) -> np.ndarray:
-        """Row W(x_i, x_j) for all j; subclasses override with vector code."""
-        self.check_space(space)
-        xi = space.coords[i]
-        return np.array([self.evaluate(xi, space.coords[j]) for j in range(space.n)])
+    def eval_rows(self, space: IndexSpace, lo: int, hi: int) -> np.ndarray:
+        """Rows W(x_i, .) for lo <= i < hi; callers check the space, subclasses vectorize."""
+        c = space.coords
+        return np.array([[self.evaluate(c[i], y) for y in c] for i in range(lo, hi)])
 
     def matrix(self, space: IndexSpace) -> np.ndarray:
         self.check_space(space)
-        return np.stack([self.eval_row(space, i) for i in range(space.n)])
+        return self.eval_rows(space, 0, space.n)
 
     def check_space(self, space: IndexSpace):
         if self.geometry is not None and space.geometry != self.geometry:
@@ -60,8 +81,8 @@ class ConstantKernel(Kernel):
     def evaluate(self, x, y) -> float:
         return self.value
 
-    def eval_row(self, space, i):
-        return np.full(space.n, self.value)
+    def eval_rows(self, space, lo, hi):
+        return np.full((hi - lo, space.n), self.value)
 
     def to_json(self):
         return json.dumps({"variant": "constant", "value": self.value})
@@ -73,14 +94,7 @@ class MatrixKernel(Kernel):
     geometry = "abstract"
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("matrix kernel needs a square matrix")
-        if not np.array_equal(values, values.T):
-            raise ValueError("matrix kernel must be symmetric")
-        if np.min(values) < 0.0 or np.max(values) > 1.0:
-            raise ValueError("matrix kernel entries must lie in [0, 1]")
-        self.values = values
+        self.values = _unit_symmetric(values, "matrix kernel")
 
     def check_space(self, space):
         super().check_space(space)
@@ -91,9 +105,8 @@ class MatrixKernel(Kernel):
         return float(self.values[int(np.asarray(x).reshape(-1)[0]),
                                  int(np.asarray(y).reshape(-1)[0])])
 
-    def eval_row(self, space, i):
-        self.check_space(space)
-        return self.values[i].copy()
+    def eval_rows(self, space, lo, hi):
+        return self.values[lo:hi].copy()
 
     def to_json(self):
         return json.dumps({"variant": "matrix", "values": self.values.tolist()})
@@ -110,7 +123,7 @@ class BlockKernel(Kernel):
 
     def __init__(self, boundaries, values):
         boundaries = np.asarray(boundaries, dtype=np.float64).reshape(-1)
-        values = np.asarray(values, dtype=np.float64)
+        values = _unit_symmetric(values, "block matrix")
         k = boundaries.size - 1
         if k < 1 or boundaries[0] != 0.0 or boundaries[-1] != 1.0:
             raise ValueError("boundaries must start at 0 and end at 1")
@@ -118,10 +131,6 @@ class BlockKernel(Kernel):
             raise ValueError("boundaries must be strictly increasing")
         if values.shape != (k, k):
             raise ValueError("block matrix shape must match the cell count")
-        if not np.array_equal(values, values.T):
-            raise ValueError("block matrix must be symmetric")
-        if np.min(values) < 0.0 or np.max(values) > 1.0:
-            raise ValueError("block values must lie in [0, 1]")
         self.boundaries = boundaries
         self.values = values
 
@@ -134,10 +143,9 @@ class BlockKernel(Kernel):
         cy = self._cell(float(np.asarray(y).reshape(-1)[0]))
         return float(self.values[cx, cy])
 
-    def eval_row(self, space, i):
-        self.check_space(space)
+    def eval_rows(self, space, lo, hi):
         cells = self._cell(space.coords[:, 0])
-        return self.values[self._cell(space.coords[i, 0])][cells]
+        return self.values[np.ix_(cells[lo:hi], cells)]
 
     def to_json(self):
         return json.dumps({
@@ -169,20 +177,20 @@ class GeodesicKernel(Kernel):
     def __init__(self, geometry: str, delta: float, dim: int | None = None):
         if delta <= 0:
             raise ValueError("delta must be positive")
-        if geometry in ("interval", "torus"):
-            self.dim = 1 if geometry == "interval" else (dim if dim is not None else 2)
-        elif geometry == "sphere2":
-            self.dim = 3
-        else:
-            raise ValueError(f"geodesic kernel does not support geometry {geometry!r}")
+        self.dim = _point_dim(geometry, dim, "geodesic kernel")
         self.geometry = geometry
         self.delta = float(delta)
 
     def _distance(self, x, y):
+        """Distances between points x (..., dim) and y (..., dim), broadcast."""
         if self.geometry == "sphere2":
-            dot = np.clip(np.sum(np.asarray(x) * np.asarray(y), axis=-1), -1.0, 1.0)
+            dot = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
             return np.arccos(dot)
-        return np.max(circle_distance(x, y), axis=-1)
+        # max-metric folded one axis at a time: no (..., dim) temporary
+        d = circle_distance(x[..., 0], y[..., 0])
+        for k in range(1, self.dim):
+            d = np.maximum(d, circle_distance(x[..., k], y[..., k]))
+        return d
 
     def evaluate(self, x, y) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -192,9 +200,8 @@ class GeodesicKernel(Kernel):
         d = self._distance(x, y)
         return 1.0 if d <= self.delta + self._TIE_TOL else 0.0
 
-    def eval_row(self, space, i):
-        self.check_space(space)
-        d = self._distance(space.coords[i][None, :], space.coords)
+    def eval_rows(self, space, lo, hi):
+        d = self._distance(space.coords[lo:hi, None, :], space.coords[None, :, :])
         return (d <= self.delta + self._TIE_TOL).astype(np.float64)
 
     def to_json(self):
@@ -217,16 +224,9 @@ class CustomKernel(Kernel):
     _SYMMETRY_SAMPLES = 100
 
     def __init__(self, fn, geometry: str, dim: int | None = None):
-        if geometry not in ("interval", "torus", "sphere2"):
-            raise ValueError("custom kernels support interval, torus, or sphere2 geometry")
+        self.dim = _point_dim(geometry, dim, "custom kernel")
         self.fn = fn
         self.geometry = geometry
-        if geometry == "interval":
-            self.dim = 1
-        elif geometry == "sphere2":
-            self.dim = 3
-        else:
-            self.dim = dim if dim is not None else 2
         self._verify()
 
     def _sample_points(self, rng, k):
@@ -257,11 +257,7 @@ def canonical_embedding(adjacency) -> BlockKernel:
     Accepts 0/1 adjacency matrices and, more generally, symmetric weight
     matrices with entries in [0, 1].
     """
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    if not np.array_equal(a, a.T):
-        raise ValueError("adjacency must be symmetric")
+    a = _unit_symmetric(adjacency, "adjacency")
     n = a.shape[0]
     boundaries = np.arange(n + 1, dtype=np.float64) / n
     boundaries[-1] = 1.0
@@ -273,15 +269,34 @@ def geodesic_kernel(geometry: str, delta: float, dim: int | None = None) -> Geod
     return GeodesicKernel(geometry, delta, dim=dim)
 
 
-def kernel_from_json(text: str) -> Kernel:
-    doc = json.loads(text)
-    variant = doc.get("variant")
+def kernel_from_spec(spec: dict) -> Kernel:
+    """Build a kernel from a spec dict such as ``{"variant": "constant", "value": 0.5}``.
+
+    Variants and their fields: ``constant`` (value), ``matrix`` (values),
+    ``block`` (boundaries, values), ``canonical`` (adjacency), ``geodesic``
+    (geometry, delta, optional dim). A missing or mistyped field raises
+    :class:`~graphlim.errors.ConfigError`, a ValueError naming the field.
+    """
+    get = functools.partial(config_field, spec)
+    number = (int, float)
+    variant = get("variant", str)
     if variant == "constant":
-        return ConstantKernel(doc["value"])
+        return ConstantKernel(get("value", number))
     if variant == "matrix":
-        return MatrixKernel(np.array(doc["values"], dtype=np.float64))
+        return MatrixKernel(get("values", list))
     if variant == "block":
-        return BlockKernel(np.array(doc["boundaries"]), np.array(doc["values"]))
+        return BlockKernel(get("boundaries", list), get("values", list))
+    if variant == "canonical":
+        return canonical_embedding(get("adjacency", list))
     if variant == "geodesic":
-        return GeodesicKernel(doc["geometry"], doc["delta"], dim=doc.get("dim"))
-    raise ValueError(f"unknown kernel variant {variant!r}")
+        return GeodesicKernel(get("geometry", str), get("delta", number),
+                              dim=get("dim", int, required=False))
+    raise ConfigError("variant", f"unknown kernel variant {variant!r}")
+
+
+def kernel_from_json(text: str) -> Kernel:
+    """Parse a JSON kernel spec; see :func:`kernel_from_spec`."""
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise ValueError("kernel spec must be a JSON object")
+    return kernel_from_spec(spec)

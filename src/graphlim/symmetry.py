@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelFunctions, integrate
-from .errors import UnsupportedGroupError
 from .norms import l1_distance
 from .space import IndexSpace
 from .systems import CoupledSystem
-
-ORBIT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -244,92 +241,100 @@ def check_automorphism(system: CoupledSystem, imap: IndexMap, tol: float) -> Aut
 # fixed spaces, images, clusters
 
 
+_NO_NODES = np.zeros(0, dtype=np.int64)
+
+
+def _merge_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label every node by the smallest node joined to it through pairs a[k] ~ b[k].
+
+    Rounds of hooking larger roots onto smaller ones, then pointer jumping.
+    """
+    labels = np.arange(n)
+    while True:
+        la, lb = labels[a], labels[b]
+        if np.array_equal(la, lb):
+            return labels
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+
+
 def _orbit_labels(generators, n: int) -> np.ndarray:
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for m in generators:
         if m.n != n:
             raise ValueError("generator size mismatch")
-        for i, j in enumerate(m.targets):
-            ri, rj = find(i), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return np.array([find(i) for i in range(n)])
+        if not m.invertible:
+            raise ValueError("orbits need invertible maps")
+    nodes = np.tile(np.arange(n), len(generators))
+    images = np.concatenate([_NO_NODES] + [m.targets for m in generators])
+    return _merge_labels(n, nodes, images)
 
 
-def project_fixed(generators, state: np.ndarray, orbit_cap: int = ORBIT_CAP) -> np.ndarray:
+def project_fixed(generators, state: np.ndarray) -> np.ndarray:
     """Project onto the joint fixed space of the generated group.
 
     Every value is replaced by the plain mean over its index orbit; the
     result is fixed by every generator and the projection is idempotent up
-    to roundoff. All generators must be invertible.
+    to roundoff. All generators must be invertible. For measure-preserving
+    generators it matches :func:`FixedPointSubspace` up to roundoff.
     """
     state = np.asarray(state, dtype=np.float64)
     n = state.shape[0]
-    generators = list(generators)
-    for m in generators:
-        if not m.invertible:
-            raise ValueError("project_fixed requires invertible maps")
-    if n * max(1, len(generators)) > orbit_cap:
-        raise UnsupportedGroupError("orbit enumeration exceeds the configured cap")
-    labels = _orbit_labels(generators, n)
+    labels = _orbit_labels(list(generators), n)
     sums = np.bincount(labels, weights=state, minlength=n)
     counts = np.bincount(labels, minlength=n)
-    means = sums[labels] / counts[labels]
-    return means
+    return sums[labels] / counts[labels]
 
 
-class FixedPointSubspace:
-    """States fixed by every generator: u[phi(i)] = u[i]."""
+class PartitionSubspace:
+    """States constant on every block of a partition of the nodes.
 
-    def __init__(self, generators):
-        self.generators = list(generators)
-
-    def project(self, space: IndexSpace, state: np.ndarray) -> np.ndarray:
-        return project_fixed(self.generators, state)
-
-
-class ImageSubspace:
-    """States that factor through a map: u = v o phi for some v.
-
-    These are exactly the states constant on the level sets of phi; the
-    projection replaces each level set by its mass-weighted mean.
+    ``labels[i]`` names the block of node i (any integers); nodes past the
+    end of ``labels`` are singleton blocks. The projection replaces each
+    value by the mu-weighted mean over its block. It is computed as an
+    offset from one member per block, so states already in the subspace
+    come back unchanged and projecting twice equals projecting once.
     """
 
-    def __init__(self, imap: IndexMap):
-        self.imap = imap
+    def __init__(self, labels):
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        # canonical labels: the smallest node of each block
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        self.labels = first[inverse.reshape(-1)]
 
     def project(self, space: IndexSpace, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=np.float64)
-        t = self.imap.targets
-        mu = space.weights
-        mass = np.bincount(t, weights=mu, minlength=self.imap.n)
-        sums = np.bincount(t, weights=mu * state, minlength=self.imap.n)
-        seen = mass > 0
-        means = np.zeros_like(mass)
-        means[seen] = sums[seen] / mass[seen]
-        return means[t]
+        n = space.n
+        if state.shape != (n,) or self.labels.size > n:
+            raise ValueError("state or partition does not fit the space")
+        labels = np.concatenate([self.labels, np.arange(self.labels.size, n)])
+        base = state[labels]
+        mass = np.bincount(labels, weights=space.weights, minlength=n)
+        shift = np.bincount(labels, weights=space.weights * (state - base), minlength=n)
+        return base + shift[labels] / mass[labels]
 
 
-class ClusterSubspace:
-    """States constant on each prescribed node block."""
+def FixedPointSubspace(generators) -> PartitionSubspace:
+    """States fixed by every generator, u[phi(i)] = u[i]: constant on the orbits."""
+    generators = list(generators)
+    n = generators[0].n if generators else 0
+    return PartitionSubspace(_orbit_labels(generators, n))
 
-    def __init__(self, blocks):
-        self.blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
 
-    def project(self, space: IndexSpace, state: np.ndarray) -> np.ndarray:
-        out = np.asarray(state, dtype=np.float64).copy()
-        mu = space.weights
-        for block in self.blocks:
-            w = mu[block]
-            out[block] = float(np.sum(w * out[block]) / np.sum(w))
-        return out
+def ImageSubspace(imap: IndexMap) -> PartitionSubspace:
+    """States that factor through a map, u = v o phi: constant on the level sets of phi."""
+    return PartitionSubspace(imap.targets)
+
+
+def ClusterSubspace(blocks) -> PartitionSubspace:
+    """States constant on each prescribed node block; overlapping blocks merge."""
+    blocks = [np.asarray(b, dtype=np.int64).reshape(-1) for b in blocks]
+    nodes = np.concatenate([_NO_NODES] + blocks)
+    heads = np.concatenate([_NO_NODES] + [np.repeat(b[:1], b.size) for b in blocks])
+    if nodes.min(initial=0) < 0:
+        raise ValueError("cluster blocks must hold nonnegative node indices")
+    return PartitionSubspace(_merge_labels(int(nodes.max(initial=-1)) + 1, nodes, heads))
 
 
 def subspace_distance(space: IndexSpace, subspace, state: np.ndarray) -> float:

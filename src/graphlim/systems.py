@@ -21,6 +21,8 @@ from .space import IndexSpace, uniform_space
 
 _ROW_SUM_SLACK = 1e-9
 _DENSE_CSV_MAX = 2000
+# Dense entries per row block of a build: bounds its transient memory at any n.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -144,17 +146,32 @@ def from_rows(space: IndexSpace, rows, label: str = "",
                          fiber_normalization=fiber_normalization)
 
 
+def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
+    """CSR system from the dense masses ``row_block(lo, hi)`` of rows lo..hi-1, asked in order.
+
+    Exact zeros are dropped; np.nonzero's row-major order sorts each row by neighbor.
+    """
+    n = space.n
+    step = max(1, _BLOCK_ENTRIES // n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    indices, weights = [], []
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        block = row_block(lo, hi)
+        r, c = np.nonzero(block)
+        counts[lo + 1:hi + 1] = np.bincount(r, minlength=hi - lo)
+        indices.append(c)
+        weights.append(block[r, c])
+    return CoupledSystem(space, np.cumsum(counts), np.concatenate(indices),
+                         np.concatenate(weights), label=label)
+
+
 def discretize(kernel: Kernel, space: IndexSpace, label: str = "") -> CoupledSystem:
     """Quadrature rows w_ij = W(x_i, x_j) mu_j; exact zeros are dropped."""
     kernel.check_space(space)
     mu = space.weights
-    rows = []
-    for i in range(space.n):
-        vals = np.asarray(kernel.eval_row(space, i), dtype=np.float64)
-        w = vals * mu
-        keep = np.nonzero(w)[0]
-        rows.append((keep, w[keep]))
-    return from_rows(space, rows, label=label or "graphon")
+    return _from_row_blocks(space, lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu,
+                            label or "graphon")
 
 
 def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
@@ -162,25 +179,35 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
 
     Edges are drawn independently with probability p using the Philox
     counter-based generator, so a given (n, p, seed) reproduces the exact
-    same adjacency on any platform. No self-loops.
+    same adjacency on any platform. The upper triangle is drawn row by row in
+    blocks and kept as an edge list, so memory stays O(edges). No self-loops.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
-    a = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    draws = rng.random(iu[0].size)
-    a[iu] = (draws < p).astype(np.float64)
-    a = a + a.T
+    step = max(1, _BLOCK_ENTRIES // n)
+    heads, tails = [], []
+    for lo in range(0, n, step):
+        r, c = np.nonzero(np.triu(np.ones((min(n, lo + step) - lo, n), dtype=bool), k=lo + 1))
+        hit = rng.random(r.size) < p
+        heads.append(r[hit] + lo)
+        tails.append(c[hit])
+    # both orientations of every edge, grouped by row
+    rows = np.concatenate(heads + tails)
+    cols = np.concatenate(tails + heads)
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
     space = uniform_space(n)
-    mu = space.weights
-    rows = []
-    for i in range(n):
-        keep = np.nonzero(a[i])[0]
-        rows.append((keep, a[i, keep] * mu[keep]))
-    return from_rows(space, rows, label=f"er(n={n},p={p},seed={seed})")
+
+    def row_block(lo, hi):
+        a, b = np.searchsorted(rows, (lo, hi))
+        block = np.zeros((hi - lo, n))
+        block[rows[a:b] - lo, cols[a:b]] = 1.0
+        return block * space.weights
+
+    return _from_row_blocks(space, row_block, f"er(n={n},p={p},seed={seed})")
 
 
 def adjacency_matrix(system: CoupledSystem) -> np.ndarray:

@@ -156,3 +156,36 @@ def test_continuity_command(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_internal_error_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "command": "simulate",
+        "space": {"geometry": "abstract", "weights": [0.5, 0.5]},
+        "kernel": {"variant": "constant", "value": 1.0},
+        "model": {"omega": 1e308},
+        "u0": [1e308, 1e308],
+        "t_end": 10, "step": 1.0,
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "internal error: NumericError" in capsys.readouterr().err
+
+
+def test_kernel_spec_errors_name_the_field(tmp_path, capsys):
+    base = {
+        "command": "simulate",
+        "space": {"geometry": "torus", "resolution": [6, 6]},
+        "u0": {"kind": "constant", "value": 0.0},
+        "t_end": 0.1, "step": 0.05,
+    }
+    for kernel, field in (({"variant": "geodesic"}, "delta"),
+                          ({"variant": "geodesic", "delta": "wide"}, "delta"),
+                          ({"variant": "canonical"}, "adjacency")):
+        cfg = write_config(tmp_path, dict(base, kernel=kernel))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert repr(field) in capsys.readouterr().err
+    explicit = dict(base, kernel={"variant": "geodesic", "geometry": "torus", "dim": 2,
+                                  "delta": 0.2})
+    assert main(["run", write_config(tmp_path, explicit), "--out", str(tmp_path / "o")]) == 0

@@ -12,6 +12,7 @@ from graphlim import (
     canonical_embedding,
     geodesic_kernel,
     kernel_from_json,
+    kernel_from_spec,
     make_grid_space,
     uniform_space,
 )
@@ -166,3 +167,20 @@ def test_kernel_json_round_trip():
         assert type(k2) is type(k)
     g = kernel_from_json(geodesic_kernel("sphere2", 1.0).to_json())
     assert isinstance(g, GeodesicKernel) and g.delta == 1.0
+
+
+def test_kernel_spec_parser():
+    k = kernel_from_json('{"variant": "canonical", "adjacency": [[0, 1], [1, 0]]}')
+    assert isinstance(k, BlockKernel) and np.array_equal(k.values, [[0, 1], [1, 0]])
+    g = kernel_from_spec({"variant": "geodesic", "geometry": "torus", "delta": 0.1})
+    assert g.dim == 2
+    for spec, field in (({}, "variant"),
+                        ({"variant": "constant"}, "value"),
+                        ({"variant": "constant", "value": "1"}, "value"),
+                        ({"variant": "block", "boundaries": [0, 1]}, "values"),
+                        ({"variant": "geodesic", "delta": 0.1}, "geometry"),
+                        ({"variant": "geodesic", "geometry": "torus", "delta": 0.1,
+                          "dim": 2.0}, "dim"),
+                        ({"variant": "wavelet"}, "variant")):
+        with pytest.raises(ValueError, match=repr(field)):
+            kernel_from_spec(spec)

@@ -8,7 +8,9 @@ from graphlim import (
     ConstantKernel,
     FixedPointSubspace,
     ImageSubspace,
+    IndexMap,
     MatrixKernel,
+    PartitionSubspace,
     check_automorphism,
     discretize,
     equivariance_audit,
@@ -246,3 +248,93 @@ def test_subspace_distance_zero_on_members():
     assert subspace_distance(space, sub, u) == 0.0
     v = np.array([1.0, 2.0, 1.0, 4.0, 5.0, 6.0])
     assert subspace_distance(space, sub, v) > 0.0
+
+
+def union_find_labels(generators, n):
+    """Orbit labels by a scalar union-find; each node gets its orbit's smallest node."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for m in generators:
+        for i, j in enumerate(m.targets):
+            ri, rj = find(i), find(int(j))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return np.array([find(i) for i in range(n)])
+
+
+def plain_orbit_means(generators, state):
+    labels = union_find_labels(generators, state.size)
+    sums = np.bincount(labels, weights=state, minlength=state.size)
+    counts = np.bincount(labels, minlength=state.size)
+    return sums[labels] / counts[labels]
+
+
+def random_generators(rng, n):
+    """A few permutations, each a product of a few random swaps or one random cycle."""
+    gens = []
+    for _ in range(int(rng.integers(1, 4))):
+        t = np.arange(n)
+        if rng.random() < 0.5:
+            for _ in range(int(rng.integers(0, max(1, n // 3)))):
+                i, j = rng.integers(0, n, size=2)
+                t[[i, j]] = t[[j, i]]
+        else:
+            cyc = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            t[cyc] = np.roll(cyc, 1)
+        gens.append(permutation_map(t))
+    return gens
+
+
+def test_orbit_labels_match_union_find():
+    rng = np.random.Generator(np.random.Philox(31))
+    cases = [random_generators(rng, int(rng.integers(1, 80))) for _ in range(40)]
+    cases.append([permutation_map(np.roll(np.arange(500), 1))])
+    cases.append(random_generators(rng, 2000))
+    cases.append([permutation_map(np.roll(np.arange(2000), 1)), swap_map(2000, 3, 1999)])
+    for gens in cases:
+        n = gens[0].n
+        want = union_find_labels(gens, n)
+        assert np.array_equal(FixedPointSubspace(gens).labels, want)
+        state = rng.uniform(0, 2 * np.pi, n)
+        assert np.array_equal(project_fixed(gens, state), plain_orbit_means(gens, state))
+
+
+def test_cluster_labels_match_union_find():
+    rng = np.random.Generator(np.random.Philox(32))
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        blocks = [rng.choice(n, size=int(rng.integers(1, min(6, n + 1))), replace=False)
+                  for _ in range(int(rng.integers(1, 6)))]
+        pairs = [IndexMap(np.where(np.isin(np.arange(n), b), b[0], np.arange(n)))
+                 for b in blocks]
+        labels = ClusterSubspace(blocks).labels
+        assert np.array_equal(labels, union_find_labels(pairs, n)[:labels.size])
+
+
+def test_overlapping_cluster_blocks_merge():
+    space = uniform_space(4)
+    sub = ClusterSubspace([[0, 1], [1, 2]])
+    u = np.array([0.3, -1.0, 2.5, 4.0])
+    p = sub.project(space, u)
+    assert np.array_equal(sub.project(space, p), p)
+    assert p[0] == p[1] == p[2]
+    assert np.isclose(p[0], np.mean(u[:3]), rtol=0, atol=1e-15)
+    assert p[3] == u[3]
+    assert subspace_distance(space, sub, p) == 0.0
+
+
+def test_partition_projection_is_weighted_block_mean():
+    space = make_finite_space([0.1, 0.2, 0.3, 0.4])
+    sub = PartitionSubspace([7, 3, 7, 3])
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    p = sub.project(space, u)
+    assert np.allclose(p, [2.5, 20 / 6, 2.5, 20 / 6], rtol=0, atol=1e-15)
+    assert np.array_equal(sub.project(space, p), p)
+    with pytest.raises(ValueError):
+        sub.project(uniform_space(3), u[:3])

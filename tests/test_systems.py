@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from graphlim import (
+    BlockKernel,
     ConstantKernel,
     CoupledSystem,
+    CustomKernel,
     MatrixKernel,
     SizeLimitError,
     adjacency_matrix,
+    canonical_embedding,
     discretize,
+    from_rows,
+    geodesic_kernel,
     make_finite_space,
+    make_grid_space,
     sample_er,
     uniform_space,
 )
@@ -114,3 +122,69 @@ def test_dense_csv_size_guard(tmp_path):
     big = discretize(ConstantKernel(0.0), uniform_space(2001))
     with pytest.raises(SizeLimitError):
         big.to_csv(tmp_path / "big.csv")
+
+
+def reference_discretize(kernel, space):
+    """Row-at-a-time quadrature, assembled through from_rows."""
+    mu = space.weights
+    rows = []
+    for i in range(space.n):
+        w = kernel.eval_rows(space, i, i + 1)[0] * mu
+        keep = np.nonzero(w)[0]
+        rows.append((keep, w[keep]))
+    return from_rows(space, rows)
+
+
+def reference_sample_er(n, p, seed):
+    """Dense n x n draw of the upper triangle, as one Philox call."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    a = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    a[iu] = (rng.random(iu[0].size) < p).astype(np.float64)
+    a = a + a.T
+    space = uniform_space(n)
+    mu = space.weights
+    rows = []
+    for i in range(n):
+        keep = np.nonzero(a[i])[0]
+        rows.append((keep, a[i, keep] * mu[keep]))
+    return from_rows(space, rows)
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.weights, want.weights)
+
+
+def _symmetric(n, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    v = rng.uniform(0, 1, (n, n))
+    v = (v + v.T) / 2
+    v[v < 0.4] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("kernel, space", [
+    (geodesic_kernel("interval", 0.25), make_grid_space("interval", (40,))),
+    (geodesic_kernel("torus", 0.15, dim=2), make_grid_space("torus", (30, 30))),
+    (geodesic_kernel("torus", 0.2, dim=3), make_grid_space("torus", (8, 7, 6))),
+    (geodesic_kernel("sphere2", math.pi / 2), make_grid_space("sphere2", (468,),
+                                                              symmetry_order=12)),
+    (BlockKernel([0, 0.3, 0.5, 1], [[1, 0, 0.5], [0, 0.2, 1], [0.5, 1, 0]]),
+     make_grid_space("interval", (37,))),
+    (canonical_embedding(_symmetric(12, 3) > 0), make_grid_space("interval", (60,))),
+    (MatrixKernel(_symmetric(9, 4)), make_finite_space(np.arange(1, 10) / 45)),
+    (ConstantKernel(0.7), uniform_space(33)),
+    (CustomKernel(lambda x, y: float(abs(x[0] - y[0]) < 0.3), "interval"),
+     make_grid_space("interval", (25,))),
+], ids=["interval", "torus2", "torus3", "sphere", "block", "canonical", "matrix",
+        "constant", "custom"])
+def test_discretize_matches_row_reference(kernel, space):
+    assert_same_csr(discretize(kernel, space), reference_discretize(kernel, space))
+
+
+@pytest.mark.parametrize("n, p, seed", [(1, 0.5, 0), (4, 0.0, 1), (4, 1.0, 1),
+                                        (16, 0.5, 7), (300, 0.1, 5)])
+def test_sample_er_matches_dense_reference(n, p, seed):
+    assert_same_csr(sample_er(n, p, seed), reference_sample_er(n, p, seed))
