@@ -3,9 +3,10 @@
 Usage: ``graphlim run <config.json> [--out DIR] [--threads N]``. The config
 is a single JSON document selecting one command (simulate, audit, twisted,
 ghost, continuity, meanfield, norms) plus its parameters. Artifacts (CSV
-series, JSON reports, and a manifest) land in the output directory. Exit
-status: 0 success, 1 failed audit or experiment, 2 usage or config error,
-3 internal error.
+series, JSON reports, and a manifest) land in the output directory; a
+command that fails still writes the manifest, with its exit status and
+error. Exit status: 0 success, 1 failed audit or experiment, 2 usage or
+config error, 3 internal error.
 
 Reruns with the same config produce byte-identical artifacts apart from the
 manifest timestamp; every random choice is seeded explicitly.
@@ -292,18 +293,15 @@ _COMMANDS = {
 }
 
 
-def run_config(cfg: dict, out_dir, threads: int | None = None) -> int:
-    command = _get(cfg, "command", str)
-    if command not in _COMMANDS:
-        raise ConfigError("command", f"unknown command {command!r}; "
-                                     f"expected one of {sorted(_COMMANDS)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.time()
-    status = _COMMANDS[command](cfg, out)
+def _exit_status(exc: BaseException) -> int:
+    """Exit status of a run that raised: 2 for a config error, 3 for an internal one."""
+    return 2 if isinstance(exc, (ValueError, KeyError, TypeError)) else 3
+
+
+def _write_manifest(out, cfg, threads, start, status, error=None):
     manifest = {
         "version": __version__,
-        "command": command,
+        "command": cfg["command"],
         "config": cfg,
         "seeds": _collect_seeds(cfg),
         "threads": threads,
@@ -311,7 +309,32 @@ def run_config(cfg: dict, out_dir, threads: int | None = None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "exit_status": status,
     }
+    if error is not None:
+        manifest["error"] = error
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def run_config(cfg: dict, out_dir, threads: int | None = None) -> int:
+    """Run one config; once the output directory exists a manifest is always written.
+
+    A command that raises leaves a manifest whose ``exit_status`` is the one
+    ``main`` returns for the exception and whose ``error`` is
+    ``"<Type>: <message>"``; the exception then propagates.
+    """
+    command = _get(cfg, "command", str)
+    if command not in _COMMANDS:
+        raise ConfigError("command", f"unknown command {command!r}; "
+                                     f"expected one of {sorted(_COMMANDS)}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    start = time.time()
+    try:
+        status = _COMMANDS[command](cfg, out)
+    except Exception as exc:
+        _write_manifest(out, cfg, threads, start, _exit_status(exc),
+                        f"{type(exc).__name__}: {exc}")
+        raise
+    _write_manifest(out, cfg, threads, start, status)
     return status
 
 
@@ -347,13 +370,14 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.get("out", ".")
     try:
         return run_config(cfg, out_dir, threads=args.threads)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        status = _exit_status(exc)
+        if status == 2:
+            print(f"config error: {exc}", file=sys.stderr)
+        else:
+            traceback.print_exc()
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

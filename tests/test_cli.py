@@ -26,6 +26,8 @@ def test_twisted_command(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "twisted"
     assert manifest["exit_status"] == 0
+    assert list(manifest) == ["version", "command", "config", "seeds", "threads",
+                              "wall_clock_s", "timestamp", "exit_status"]
 
 
 def test_missing_field_exits_2(tmp_path, capsys):
@@ -37,6 +39,10 @@ def test_missing_field_exits_2(tmp_path, capsys):
     })
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "step" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["error"] == "ConfigError: field 'step': missing"
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
 
 
 def test_unknown_command_exits_2(tmp_path, capsys):
@@ -171,6 +177,10 @@ def test_internal_error_exits_3(tmp_path, capsys):
     })
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "internal error: NumericError" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 3
+    assert manifest["error"].startswith("NumericError: non-finite state")
+    assert manifest["config"]["model"] == {"omega": 1e308}
 
 
 def test_kernel_spec_errors_name_the_field(tmp_path, capsys):
