@@ -9,7 +9,6 @@ trajectories.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +57,10 @@ class Trajectory:
 
     def to_csv(self, path):
         """CSV with header t,u_0,...,u_{n-1}; scalars keep full precision."""
-        n = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"u_{i}" for i in range(n)])
-            for t, row in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        with open(path, "w", newline="") as fh:  # "\r\n" row endings, as csv.writer
+            fh.write(",".join(["t"] + [f"u_{i}" for i in range(self.states.shape[1])]) + "\r\n")
+            for t, row in zip(self.times.tolist(), self.states):
+                fh.write(",".join(map(repr, [t] + row.tolist())) + "\r\n")
 
 
 def rhs(system: CoupledSystem, model: ModelFunctions, state: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ particles realizes the pushforward of the initial empirical measures.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +83,12 @@ class MeasureTrajectory:
 
     def to_csv(self, path):
         """Long-format CSV with columns t,node,particle,value."""
+        times = np.asarray(self.times, dtype=np.float64).tolist()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "node", "particle", "value"])
-            for t, frame in zip(self.times, self.states):
-                for i, row in enumerate(frame):
-                    for p, v in enumerate(row):
-                        writer.writerow([repr(float(t)), i, p, repr(float(v))])
+            fh.write("t,node,particle,value\r\n")  # csv.writer's row ending
+            for t, frame in zip(times, np.asarray(self.states, dtype=np.float64)):
+                fh.write("".join([f"{head}{p},{v!r}\r\n" for i, row in enumerate(frame.tolist())
+                                  for head in (f"{t!r},{i},",) for p, v in enumerate(row)]))
 
 
 def integrate_meanfield(system: CoupledSystem, mstate0, t_end: float,

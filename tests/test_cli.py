@@ -146,6 +146,7 @@ def test_norms_command(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "norm.json").read_text())
     assert doc["value"] == pytest.approx(0.5, abs=1e-12)
+    assert doc["method"] == "exact_bruteforce"
 
 
 def test_continuity_command(tmp_path):

@@ -181,6 +181,25 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(parsed[:, 1:], traj.states)
 
 
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    """to_csv writes the bytes csv.writer writes for rows of repr floats."""
+    import csv
+    traj = integrate(discretize(ConstantKernel(1.0), uniform_space(5)), kuramoto_model(0.3, 0.1),
+                     np.linspace(-3.0, 3.0, 5), 0.5, 1e-2, sample_every=7)
+    odd = Trajectory(np.array([-1e-300, 0.0, 0.1, 2.5e17]),
+                     np.array([[-0.0, np.nan, np.inf, -np.inf], [1e-320, 1.0, -2.0, 1 / 3],
+                               [5e-324, 1e300, 0.1 + 0.2, -7.0], [0.0, 0.0, 0.0, 0.0]]))
+    for k, tr in enumerate((traj, odd)):
+        path, ref = tmp_path / f"t{k}.csv", tmp_path / f"r{k}.csv"
+        tr.to_csv(path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"u_{i}" for i in range(tr.states.shape[1])])
+            for t, row in zip(tr.times, tr.states):
+                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        assert path.read_bytes() == ref.read_bytes()
+
+
 def test_trajectory_requires_monotone_times():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.5, 0.5]), np.zeros((3, 2)))

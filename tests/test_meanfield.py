@@ -4,6 +4,7 @@ import pytest
 from graphlim import (
     ConstantKernel,
     MeasureState,
+    MeasureTrajectory,
     canonical_embedding,
     discretize,
     geodesic_kernel,
@@ -189,3 +190,25 @@ def test_measure_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,node,particle,value"
     assert len(lines) == 1 + len(traj.times) * 3 * 2
+
+
+def test_measure_csv_matches_csv_writer(tmp_path):
+    """to_csv writes the bytes csv.writer writes for rows of repr floats."""
+    import csv
+    rng = np.random.Generator(np.random.Philox(11))
+    traj = integrate_meanfield(sample_er(12, 0.5, 3), MeasureState(rng.uniform(-9, 9, (12, 7))),
+                               0.3, 1e-2, sample_every=4)
+    odd = MeasureTrajectory(np.array([0.0, 1e-300, 2.5e17]),
+                            np.array([[[-0.0, np.nan, 1 / 3]], [[np.inf, -np.inf, 5e-324]],
+                                      [[1e300, 0.1 + 0.2, -7.0]]]))
+    for k, tr in enumerate((traj, odd)):
+        path, ref = tmp_path / f"m{k}.csv", tmp_path / f"r{k}.csv"
+        tr.to_csv(path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "node", "particle", "value"])
+            for t, frame in zip(tr.times, tr.states):
+                for i, row in enumerate(frame):
+                    for p, v in enumerate(row):
+                        writer.writerow([repr(float(t)), i, p, repr(float(v))])
+        assert path.read_bytes() == ref.read_bytes()

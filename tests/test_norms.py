@@ -26,9 +26,50 @@ def full_enumeration_norm(space, matrix):
     return float(np.max(np.abs(table)))
 
 
+def chunked_matmul_norm(space, matrix):
+    """The previous exact scan: one BLAS product b @ g per chunk of 2^16 candidates.
+
+    Candidate ids and tie-breaking match the current routine, but the
+    scores round in a different order, so tied optima may pick another g.
+    """
+    n = space.n
+    mu = space.weights
+    b = mu[:, None] * np.asarray(matrix) * mu[None, :]
+    total = 1 << max(0, n - 1)
+    chunk = 1 << min(16, max(0, n - 1))
+    best_score, best_g = -1.0, None
+    bits = np.arange(max(1, n - 1), dtype=np.uint64)
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        g = np.ones((n, ids.size))
+        if n > 1:
+            g[:-1, :] = 1.0 - 2.0 * ((ids[None, :] >> bits[:, None]) & 1)
+        scores = np.abs(b @ g).sum(axis=0)
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score, best_g = float(scores[k]), g[:, k].copy()
+    f = np.where(b @ best_g >= 0, 1.0, -1.0)
+    return float(abs(f @ b @ best_g))
+
+
 def random_symmetric(rng, n, scale=1.0):
     d = rng.uniform(-scale, scale, (n, n))
     return (d + d.T) / 2
+
+
+def norm_cases(n, count):
+    """(space, matrix) pairs: uniform and weighted spaces, dense and +-1/2 matrices.
+
+    The +-1/2 matrices (adjacency minus 1/2, as in W - U for ER graphs) have
+    many tied optima.
+    """
+    for seed in range(count):
+        rng = np.random.Generator(np.random.Philox(1000 * n + seed))
+        weighted = make_finite_space(rng.uniform(0.2, 1.0, n))
+        a = np.triu(rng.random((n, n)) < 0.5, 1).astype(np.float64)
+        for space in (uniform_space(n), weighted):
+            yield space, random_symmetric(rng, n)
+            yield space, a + a.T - 0.5 * (1.0 - np.eye(n))
 
 
 def test_l1_distance_examples():
@@ -66,6 +107,66 @@ def test_exact_norm_matches_full_enumeration():
         got = inf_to_one_norm_exact(s, d).value
         want = full_enumeration_norm(s, d)
         assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exact_norm_matches_full_enumeration_at_every_small_n(n):
+    # small n leaves the high half of the sign split empty, and n = 1 the low half too
+    for space, d in norm_cases(n, 2):
+        r = inf_to_one_norm_exact(space, d)
+        assert abs(r.value - full_enumeration_norm(space, d)) <= 1e-13
+        assert r.witness_g.shape == (n,) and r.witness_g[-1] == 1.0
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_exact_norm_matches_chunked_scan(n):
+    for space, d in norm_cases(n, 1):
+        r = inf_to_one_norm_exact(space, d)
+        ref = chunked_matmul_norm(space, d)
+        assert abs(r.value - ref) <= 1e-15 * ref
+        mu = space.weights
+        b = mu[:, None] * d * mu[None, :]
+        assert np.array_equal(r.witness_f, np.where(b @ r.witness_g >= 0, 1.0, -1.0))
+        assert abs(abs(r.witness_f @ b @ r.witness_g) - r.value) <= 1e-15
+
+
+def test_exact_norm_ties_go_to_the_lowest_candidate():
+    # every g scores the same on a zero or diagonal matrix; candidate 0 is all ones
+    for n in (5, 16):
+        for d in (np.zeros((n, n)), np.diag(np.linspace(0.5, 1.0, n))):
+            r = inf_to_one_norm_exact(uniform_space(n), d)
+            assert np.all(r.witness_g == 1.0)
+
+
+def test_exact_norm_reruns_are_bit_identical():
+    for space, d in norm_cases(17, 1):
+        a = inf_to_one_norm_exact(space, d)
+        b = inf_to_one_norm_exact(space, d)
+        assert a.value.hex() == b.value.hex()
+        assert np.array_equal(a.witness_f, b.witness_f)
+        assert np.array_equal(a.witness_g, b.witness_g)
+
+
+def test_exact_norm_does_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+    code = (
+        "import numpy as np\n"
+        "from graphlim import inf_to_one_norm_exact, make_finite_space\n"
+        "rng = np.random.Generator(np.random.Philox(9))\n"
+        "d = rng.uniform(-1, 1, (22, 22))\n"
+        "r = inf_to_one_norm_exact(make_finite_space(rng.uniform(0.2, 1, 22)), d + d.T)\n"
+        "print(r.value.hex(), r.witness_f.tolist(), r.witness_g.tolist())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_exact_norm_on_weighted_space_matches_full_enumeration():
