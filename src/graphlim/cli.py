@@ -137,7 +137,9 @@ def _span(cfg):
 
 def _build_model(cfg):
     sub = _get(cfg, "model", dict, required=False, default={})
-    return kuramoto_model(sub.get("omega", 0.0), sub.get("alpha", 0.0))
+    number = (int, float)
+    return kuramoto_model(_get(sub, "omega", number, required=False, default=0.0),
+                          _get(sub, "alpha", number, required=False, default=0.0))
 
 
 def _collect_seeds(obj):
@@ -294,8 +296,12 @@ _COMMANDS = {
 
 
 def _exit_status(exc: BaseException) -> int:
-    """Exit status of a run that raised: 2 for a config error, 3 for an internal one."""
-    return 2 if isinstance(exc, (ValueError, KeyError, TypeError)) else 3
+    """Exit status of a run that raised: 2 for a config error, 3 for an internal one.
+
+    Config fields are read with ``config_field`` or ``.get``, so a KeyError
+    can only come from the code itself and counts as internal.
+    """
+    return 2 if isinstance(exc, (ValueError, TypeError)) else 3
 
 
 def _write_manifest(out, cfg, threads, start, status, error=None):

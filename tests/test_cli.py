@@ -200,3 +200,40 @@ def test_kernel_spec_errors_name_the_field(tmp_path, capsys):
     explicit = dict(base, kernel={"variant": "geodesic", "geometry": "torus", "dim": 2,
                                   "delta": 0.2})
     assert main(["run", write_config(tmp_path, explicit), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_model_fields_must_be_numbers(tmp_path, capsys):
+    base = {
+        "command": "simulate",
+        "space": {"geometry": "interval", "resolution": [4]},
+        "kernel": {"variant": "constant", "value": 1.0},
+        "u0": {"kind": "constant", "value": 0.0},
+        "t_end": 0.1, "step": 0.05,
+    }
+    for model, field in (({"omega": "1.0"}, "omega"), ({"alpha": "0.3"}, "alpha")):
+        out = tmp_path / field
+        assert main(["run", write_config(tmp_path, dict(base, model=model)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(field) in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"].startswith(f"ConfigError: field {field!r}: expected")
+    ok = dict(base, model={"omega": 1, "alpha": 0.3})
+    assert main(["run", write_config(tmp_path, ok), "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
+    import graphlim.cli as cli
+
+    def broken(cfg, out):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+    cfg = write_config(tmp_path, {"command": "simulate"})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: KeyError" in err and "config error" not in err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 3
+    assert manifest["error"] == "KeyError: 'missing'"

@@ -6,15 +6,24 @@ import pytest
 from graphlim import (
     ConstantKernel,
     MatrixKernel,
+    MeasureState,
+    ModelFunctions,
     NumericError,
     Trajectory,
     discretize,
+    from_rows,
+    geodesic_kernel,
     integrate,
+    integrate_meanfield,
     kuramoto_model,
     make_finite_space,
+    make_grid_space,
     rhs,
+    sample_er,
+    spherical_graphop,
     uniform_space,
 )
+from graphlim.dynamics import _SEGMENT_NNZ
 
 
 def two_node_system():
@@ -203,3 +212,145 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
 def test_trajectory_requires_monotone_times():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.5, 0.5]), np.zeros((3, 2)))
+
+
+def reference_rhs(system, model, state):
+    """The gather-and-bincount RHS: g on every entry, rows summed in ascending order."""
+    rows = system.row_of_entry
+    pair = model.g(state[rows], state[system.indices])
+    return model.f(state, np.bincount(rows, weights=system.weights * pair, minlength=system.n))
+
+
+def isolated_node_system():
+    """Dense 0/1 graph on 60 nodes in which nodes 0, 17 and 59 have empty rows."""
+    rng = np.random.Generator(np.random.Philox(31))
+    a = np.triu((rng.uniform(size=(60, 60)) < 0.7).astype(float), 1)
+    a = a + a.T
+    a[[0, 17, 59], :] = 0.0
+    a[:, [0, 17, 59]] = 0.0
+    return discretize(MatrixKernel(a), uniform_space(60))
+
+
+def nonuniform_system():
+    rng = np.random.Generator(np.random.Philox(32))
+    w = rng.uniform(size=(50, 50))
+    return discretize(MatrixKernel((w + w.T) / 2), make_finite_space(rng.uniform(0.1, 1.0, 50)))
+
+
+LARGE_SYSTEMS = {
+    "torus": lambda: discretize(geodesic_kernel("torus", 0.3, dim=2),
+                                make_grid_space("torus", (12, 12))),
+    "sphere": lambda: discretize(geodesic_kernel("sphere2", math.pi / 2),
+                                 make_grid_space("sphere2", (120,))),
+    "spherical_graphop": lambda: spherical_graphop(make_grid_space("sphere2", (120,))),
+    "er200": lambda: sample_er(200, 0.3, 5),
+    "isolated_nodes": isolated_node_system,
+    "nonuniform": nonuniform_system,
+}
+
+
+def reference_bound(system):
+    return 1e-14 * (1.0 + float(system.row_sums().max()))  # weights are nonnegative
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SYSTEMS))
+def test_large_rhs_matches_gather_reference(name):
+    sys = LARGE_SYSTEMS[name]()
+    assert sys.indices.size >= _SEGMENT_NNZ
+    rng = np.random.Generator(np.random.Philox(33))
+    for alpha in (0.0, 1.0, -2.5):
+        for omega in (0.0, 0.7):
+            model = kuramoto_model(omega, alpha)
+            u = rng.uniform(-20.0, 20.0, sys.n)
+            dev = np.max(np.abs(rhs(sys, model, u) - reference_rhs(sys, model, u)))
+            assert dev <= reference_bound(sys), (name, alpha, omega, dev)
+
+
+def test_large_rhs_of_isolated_node_is_its_frequency():
+    sys = isolated_node_system()
+    u = np.random.Generator(np.random.Philox(34)).uniform(-20.0, 20.0, sys.n)
+    du = rhs(sys, kuramoto_model(0.7, 1.0), u)
+    assert np.array_equal(du[[0, 17, 59]], np.full(3, 0.7))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SYSTEMS))
+def test_large_rhs_constant_state_is_exact_fixed_point(name):
+    sys = LARGE_SYSTEMS[name]()
+    for value in (0.0, 0.9, -13.7, 1e6):
+        du = rhs(sys, kuramoto_model(0.0, 0.0), np.full(sys.n, value))
+        assert np.array_equal(du, np.zeros(sys.n)), (name, value)
+
+
+def test_large_rhs_pair_terms_are_antisymmetric():
+    # 2 * _SEGMENT_NNZ nodes matched in pairs (2k, 2k+1): each row holds one
+    # pair term, so du_2k = -du_2k+1 exactly iff the pair terms are antisymmetric
+    n = 2 * _SEGMENT_NNZ
+    partner = np.arange(n) ^ 1
+    sys = from_rows(uniform_space(n), [([j], [1.0 / n]) for j in partner])
+    assert sys.indices.size >= _SEGMENT_NNZ
+    u = np.random.Generator(np.random.Philox(35)).uniform(-20.0, 20.0, n)
+    du = rhs(sys, kuramoto_model(0.0, 0.0), u)
+    assert np.array_equal(du, -du[partner])
+    assert np.all(du != 0.0)
+
+
+def test_custom_model_on_large_system_matches_gather_reference():
+    model = ModelFunctions(f=lambda u, s: np.cos(u) + s, g=lambda u, v: np.tanh(v - 0.5 * u))
+    for name in ("er200", "isolated_nodes"):
+        sys = LARGE_SYSTEMS[name]()
+        u = np.random.Generator(np.random.Philox(36)).uniform(-20.0, 20.0, sys.n)
+        dev = np.max(np.abs(rhs(sys, model, u) - reference_rhs(sys, model, u)))
+        assert dev <= reference_bound(sys), (name, dev)
+
+
+def test_rhs_at_the_segment_threshold():
+    below = math.isqrt(_SEGMENT_NNZ - 1)  # all-to-all: nnz = n^2
+    small = discretize(ConstantKernel(1.0), uniform_space(below))
+    large = discretize(ConstantKernel(1.0), uniform_space(below + 1))
+    assert small.indices.size < _SEGMENT_NNZ <= large.indices.size
+    rng = np.random.Generator(np.random.Philox(37))
+    for alpha in (0.0, 1.0, -2.5):
+        model = kuramoto_model(0.7, alpha)
+        u = rng.uniform(-20.0, 20.0, small.n)
+        assert np.array_equal(rhs(small, model, u), reference_rhs(small, model, u))
+        u = rng.uniform(-20.0, 20.0, large.n)
+        dev = np.max(np.abs(rhs(large, model, u) - reference_rhs(large, model, u)))
+        assert dev <= reference_bound(large)
+
+
+def test_large_trajectories_are_bit_identical_on_rerun():
+    sys = LARGE_SYSTEMS["torus"]()
+    u0 = np.random.Generator(np.random.Philox(38)).uniform(0, 2 * np.pi, sys.n)
+    a = integrate(sys, kuramoto_model(0.3, 1.0), u0, 0.2, 1e-2)
+    b = integrate(sys, kuramoto_model(0.3, 1.0), u0, 0.2, 1e-2)
+    assert np.array_equal(a.states, b.states)
+
+
+def test_large_rhs_does_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+    code = (
+        "import numpy as np\n"
+        "from graphlim import geodesic_kernel, discretize, integrate, kuramoto_model, "
+        "make_grid_space\n"
+        "sys = discretize(geodesic_kernel('torus', 0.3, dim=2), make_grid_space('torus', (12, 12)))\n"
+        "u0 = np.random.Generator(np.random.Philox(39)).uniform(0, 2 * np.pi, sys.n)\n"
+        "print(integrate(sys, kuramoto_model(0.3, 1.0), u0, 0.1, 1e-2).states.tobytes().hex())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
+def test_dirac_clouds_follow_node_dynamics_bitwise_on_large_system():
+    sys = LARGE_SYSTEMS["er200"]()
+    u0 = np.random.Generator(np.random.Philox(40)).uniform(0, 2 * np.pi, sys.n)
+    td = integrate(sys, kuramoto_model(0.0, 0.0), u0, 0.2, 1e-2)
+    tm = integrate_meanfield(sys, MeasureState(u0[:, None]), 0.2, 1e-2)
+    assert np.array_equal(td.states, tm.states[:, :, 0])
