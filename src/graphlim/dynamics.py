@@ -2,22 +2,21 @@
 
 Each node obeys du_i/dt = f(u_i, sum_j w_ij g(u_i, u_j)) where f is the
 activation and g the coupling function. Integration is classical
-fixed-step fourth-order Runge-Kutta.
+fixed-step fourth-order Runge-Kutta; summation within a row runs in
+ascending neighbor order, so identical inputs give bit-identical
+trajectories.
 
-The reduction order of the row sums depends only on the number of nonzeros.
-Below ``_SEGMENT_NNZ`` entries each row is summed sequentially in ascending
-neighbor order (``bincount``); at or above it each CSR row is one
-``np.add.reduceat`` segment, summed in numpy's pairwise order. Both orders
-are fixed and use no threads, so reruns are bit-identical and results do
-not depend on the thread count.
-
-Large systems under the Kuramoto preset also skip the nnz-length ``sin``:
-each pair term sin(u_j - u_i + alpha) is formed as
-sin(u_j + alpha) cos(u_i) - cos(u_j + alpha) sin(u_i) from four length-n
-trig arrays. Pulling cos(u_i) and sin(u_i) out of the row sum would be
-cheaper still, but the product form keeps synchrony an exact fixed point
-(at u_j = u_i the two products are the same float) and keeps each pair
-term exactly antisymmetric when alpha = 0.
+Large systems (at least ``_SEGMENT_NNZ`` nonzeros) under the Kuramoto
+preset skip the nnz-length ``sin``: each pair term sin(u_j - u_i + alpha)
+is formed as sin(u_j + alpha) cos(u_i) - cos(u_j + alpha) sin(u_i) from
+length-n trig arrays, the shifted factors by angle addition so that their
+error stays near eps however large |u| grows, and each CSR row is summed
+as one ``np.add.reduceat`` segment in numpy's pairwise order. That order is
+fixed and uses no threads either, so reruns stay bit-identical and results
+do not depend on the thread count. Pulling cos(u_i) and sin(u_i) out of the
+row sum would be cheaper still, but the product form keeps synchrony an
+exact fixed point (at u_j = u_i the two products are the same float) and
+keeps each pair term exactly antisymmetric when alpha = 0.
 """
 
 from __future__ import annotations
@@ -105,43 +104,37 @@ def rhs(system: CoupledSystem, model: ModelFunctions, state: np.ndarray) -> np.n
     return du
 
 
-# Nonzeros from which row sums are CSR segment sums and Kuramoto pair terms
-# use the product form. Measured crossover on dense ER and all-to-all systems:
-# nnz 1,114-1,296 with alpha = 0, 1,326-1,534 with alpha != 0.
-_SEGMENT_NNZ = 1280
-
-
-def _row_sums(system, values):
-    """Per-row sums of per-entry ``values``, in the order the module docstring fixes."""
-    if system.indices.size < _SEGMENT_NNZ:
-        return np.bincount(system.row_of_entry, weights=values, minlength=system.n)
-    starts = system.indptr[:-1]
-    nonempty = starts < system.indptr[1:]
-    if nonempty.all():
-        return np.add.reduceat(values, starts)
-    sums = np.zeros(system.n)
-    sums[nonempty] = np.add.reduceat(values, starts[nonempty])
-    return sums
+# Nonzeros from which the Kuramoto preset takes the product-form pair terms
+# and CSR segment sums. Measured crossover on dense ER and all-to-all
+# systems: between nnz 1,326 and 1,534, with alpha = 0 and alpha != 0 alike.
+_SEGMENT_NNZ = 1400
 
 
 def _rhs_unchecked(system, model, u):
     cols = system.indices
-    if isinstance(model, KuramotoModel) and cols.size >= _SEGMENT_NNZ:
-        sin_u, cos_u = np.sin(u), np.cos(u)
-        if model.alpha == 0.0:
-            sin_a, cos_a = sin_u, cos_u
-        else:
-            sin_a, cos_a = np.sin(u + model.alpha), np.cos(u + model.alpha)
-        row_len = np.diff(system.indptr)  # np.repeat(x, row_len) == x[row_of_entry]
-        pair = sin_a[cols]
-        pair *= np.repeat(cos_u, row_len)
-        cross = cos_a[cols]
-        cross *= np.repeat(sin_u, row_len)
-        pair -= cross
-    else:
+    if not isinstance(model, KuramotoModel) or cols.size < _SEGMENT_NNZ:
         rows = system.row_of_entry
         pair = model.g(u[rows], u[cols])
-    return model.f(u, _row_sums(system, system.weights * pair))
+        return model.f(u, np.bincount(rows, weights=system.weights * pair, minlength=system.n))
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    ca, sa = np.cos(model.alpha), np.sin(model.alpha)
+    sin_a = sin_u * ca + cos_u * sa  # sin(u + alpha), error near eps at any |u|
+    cos_a = cos_u * ca - sin_u * sa
+    row_len = np.diff(system.indptr)  # np.repeat(x, row_len) == x[row_of_entry]
+    pair = sin_a[cols]
+    pair *= np.repeat(cos_u, row_len)
+    cross = cos_a[cols]
+    cross *= np.repeat(sin_u, row_len)
+    pair -= cross
+    pair *= system.weights
+    starts = system.indptr[:-1]
+    nonempty = starts < system.indptr[1:]
+    if nonempty.all():
+        s = np.add.reduceat(pair, starts)
+    else:  # reduceat gives an empty row the next entry, or fails past the end
+        s = np.zeros(system.n)
+        s[nonempty] = np.add.reduceat(pair, starts[nonempty])
+    return model.f(u, s)
 
 
 def _rk4_step(fn, y, h):

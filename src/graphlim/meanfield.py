@@ -10,10 +10,8 @@ The average over a cloud factorizes through its order parameter,
 (1/M) sum_q sin(u_{j,q} - u_{i,p}) = cos(u_{i,p}) sbar_j - sin(u_{i,p}) cbar_j
 with sbar_j, cbar_j the means of sin and cos over the particles of node j,
 so one derivative costs O(n M + nnz): two sparse products S = W sbar and
-C = W cbar, row-summed in the node dynamics' order (sequential below its
-nnz threshold, CSR segments above it), then cos(u) S - sin(u) C. Full
-synchrony is therefore fixed only to rounding (about 1e-16), not exactly,
-for general M.
+C = W cbar, then cos(u) S - sin(u) C. Full synchrony is therefore fixed
+only to rounding (about 1e-16), not exactly, for general M.
 
 With M = 1 every cloud is a Dirac mass and the derivative is the node
 RHS of ``dynamics`` under zero-frequency Kuramoto coupling, evaluated by
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _integrate_core, _rhs_unchecked, _row_sums, kuramoto_model
+from .dynamics import _integrate_core, _rhs_unchecked, kuramoto_model
 from .space import IndexSpace
 from .systems import CoupledSystem
 
@@ -70,9 +68,9 @@ def _meanfield_rhs_unchecked(system, u):
     if u.shape[1] == 1:
         return _rhs_unchecked(system, _DIRAC_MODEL, u[:, 0])[:, None]
     sin_u, cos_u = np.sin(u), np.cos(u)
-    cols, w = system.indices, system.weights
-    s = _row_sums(system, w * sin_u.mean(axis=1)[cols])
-    c = _row_sums(system, w * cos_u.mean(axis=1)[cols])
+    rows, cols, w = system.row_of_entry, system.indices, system.weights
+    s = np.bincount(rows, weights=w * sin_u.mean(axis=1)[cols], minlength=system.n)
+    c = np.bincount(rows, weights=w * cos_u.mean(axis=1)[cols], minlength=system.n)
     return cos_u * s[:, None] - sin_u * c[:, None]
 
 

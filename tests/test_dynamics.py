@@ -264,6 +264,13 @@ def test_large_rhs_matches_gather_reference(name):
             u = rng.uniform(-20.0, 20.0, sys.n)
             dev = np.max(np.abs(rhs(sys, model, u) - reference_rhs(sys, model, u)))
             assert dev <= reference_bound(sys), (name, alpha, omega, dev)
+    # phases are never wrapped, so long runs reach |u| ~ 1e4; the error of the
+    # shifted factors must not grow with |u| (alpha = 0.3 is not on the grid
+    # of such u, so forming u + alpha would round)
+    model = kuramoto_model(0.0, 0.3)
+    u = 1e4 + rng.uniform(-20.0, 20.0, sys.n)
+    dev = np.max(np.abs(rhs(sys, model, u) - reference_rhs(sys, model, u)))
+    assert dev <= reference_bound(sys), (name, dev)
 
 
 def test_large_rhs_of_isolated_node_is_its_frequency():
@@ -294,13 +301,12 @@ def test_large_rhs_pair_terms_are_antisymmetric():
     assert np.all(du != 0.0)
 
 
-def test_custom_model_on_large_system_matches_gather_reference():
+def test_custom_model_on_large_system_keeps_gather_arithmetic():
     model = ModelFunctions(f=lambda u, s: np.cos(u) + s, g=lambda u, v: np.tanh(v - 0.5 * u))
     for name in ("er200", "isolated_nodes"):
         sys = LARGE_SYSTEMS[name]()
         u = np.random.Generator(np.random.Philox(36)).uniform(-20.0, 20.0, sys.n)
-        dev = np.max(np.abs(rhs(sys, model, u) - reference_rhs(sys, model, u)))
-        assert dev <= reference_bound(sys), (name, dev)
+        assert np.array_equal(rhs(sys, model, u), reference_rhs(sys, model, u)), name
 
 
 def test_rhs_at_the_segment_threshold():
@@ -324,28 +330,6 @@ def test_large_trajectories_are_bit_identical_on_rerun():
     a = integrate(sys, kuramoto_model(0.3, 1.0), u0, 0.2, 1e-2)
     b = integrate(sys, kuramoto_model(0.3, 1.0), u0, 0.2, 1e-2)
     assert np.array_equal(a.states, b.states)
-
-
-def test_large_rhs_does_not_depend_on_blas_threads():
-    import os
-    import subprocess
-    import sys
-    code = (
-        "import numpy as np\n"
-        "from graphlim import geodesic_kernel, discretize, integrate, kuramoto_model, "
-        "make_grid_space\n"
-        "sys = discretize(geodesic_kernel('torus', 0.3, dim=2), make_grid_space('torus', (12, 12)))\n"
-        "u0 = np.random.Generator(np.random.Philox(39)).uniform(0, 2 * np.pi, sys.n)\n"
-        "print(integrate(sys, kuramoto_model(0.3, 1.0), u0, 0.1, 1e-2).states.tobytes().hex())\n"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
-        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                   capture_output=True, text=True).stdout)
-    assert outs[0] == outs[1] and outs[0]
 
 
 def test_dirac_clouds_follow_node_dynamics_bitwise_on_large_system():
