@@ -2,11 +2,15 @@
 
 Usage: ``graphlim run <config.json> [--out DIR] [--threads N]``. The config
 is a single JSON document selecting one command (simulate, audit, twisted,
-ghost, continuity, meanfield, norms) plus its parameters. Artifacts (CSV
-series, JSON reports, and a manifest) land in the output directory; a
-command that fails still writes the manifest, with its exit status and
-error. Exit status: 0 success, 1 failed audit or experiment, 2 usage or
-config error, 3 internal error.
+ghost, continuity, meanfield, norms) plus its parameters; every scalar is
+read through ``config_field``, so a wrong type is a config error naming the
+field. Artifacts and a manifest land in the output directory; a command
+that fails still writes the manifest, with its exit status and error.
+
+The verdict commands (twisted, ghost, continuity, and the equivariance and
+invariance audits) all end in one writer: an ``ExperimentReport`` saved as
+``report.json`` plus its ``series.csv``. Exit status: 0 success, 1 failed
+audit or experiment, 2 usage or config error, 3 internal error.
 
 Reruns with the same config produce byte-identical artifacts apart from the
 manifest timestamp; every random choice is seeded explicitly.
@@ -27,19 +31,21 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, config_field as _get
 from .dynamics import integrate, kuramoto_model
-from .experiments import continuity_experiment, ghost_experiment, twisted_residual, \
-    twisted_state
+from .experiments import ExperimentReport, continuity_experiment, ghost_experiment, \
+    twisted_residual, twisted_state
 from .graphop import graphop_from_weighted, spherical_graphop
 from .kernels import kernel_from_spec
 from .meanfield import MeasureState, integrate_meanfield
 from .norms import inf_to_one_norm_exact, inf_to_one_norm_lower
 from .space import IndexSpace, make_finite_space, make_grid_space
 from .symmetry import ClusterSubspace, FixedPointSubspace, ImageSubspace, IndexMap, \
-    check_automorphism, equivariance_audit, grid_shift_map, identity_map, \
-    interval_reflection_map, invariance_audit, permutation_map, scaling_map, \
+    _equivariance_series, _invariance_series, check_automorphism, grid_shift_map, \
+    identity_map, interval_reflection_map, permutation_map, scaling_map, \
     sphere_reflection_map, sphere_rotation_map, swap_map, torus_flip_map, \
     torus_rotation_map
 from .systems import discretize, sample_er
+
+_NUMBER = (int, float)
 
 
 def _build_space(cfg, field="space") -> IndexSpace:
@@ -49,9 +55,8 @@ def _build_space(cfg, field="space") -> IndexSpace:
         return make_finite_space(_get(sub, "weights", list))
     resolution = _get(sub, "resolution", list)
     if geometry == "sphere2":
-        return make_grid_space(geometry, resolution,
-                               bands=sub.get("bands"),
-                               symmetry_order=sub.get("symmetry_order", 1))
+        return make_grid_space(geometry, resolution, bands=_get(sub, "bands", int, None),
+                               symmetry_order=_get(sub, "symmetry_order", int, 1))
     return make_grid_space(geometry, resolution)
 
 
@@ -64,7 +69,7 @@ def _build_kernel(cfg, space, field="kernel"):
 def _build_system(cfg):
     if "er" in cfg:
         sub = _get(cfg, "er", dict)
-        return sample_er(_get(sub, "n", int), _get(sub, "p", (int, float)),
+        return sample_er(_get(sub, "n", int), _get(sub, "p", _NUMBER),
                          _get(sub, "seed", int))
     if "graphop" in cfg:
         sub = _get(cfg, "graphop", dict)
@@ -73,36 +78,33 @@ def _build_system(cfg):
     if "spherical_graphop" in cfg:
         sub = _get(cfg, "spherical_graphop", dict)
         space = _build_space(sub)
-        return spherical_graphop(space, band_halfwidth=sub.get("band_halfwidth"))
+        return spherical_graphop(space, _get(sub, "band_halfwidth", _NUMBER, None))
     space = _build_space(cfg)
     kernel = _build_kernel(cfg, space)
     return discretize(kernel, space)
 
 
+_MAPS = {
+    "identity": lambda sub, space: identity_map(space.n),
+    "permutation": lambda sub, space: permutation_map(_get(sub, "targets", list)),
+    "swap": lambda sub, space: swap_map(space.n, _get(sub, "i", int), _get(sub, "j", int)),
+    "shift": lambda sub, space: grid_shift_map(space, _get(sub, "steps", list)),
+    "torus_flip": lambda sub, space: torus_flip_map(space, _get(sub, "axis", int)),
+    "torus_rotation": lambda sub, space: torus_rotation_map(space),
+    "interval_reflection": lambda sub, space: interval_reflection_map(space),
+    "scaling": lambda sub, space: scaling_map(space, _get(sub, "factor", int)),
+    "sphere_rotation": lambda sub, space: sphere_rotation_map(space,
+                                                              _get(sub, "steps", int, 1)),
+    "sphere_reflection": lambda sub, space: sphere_reflection_map(space),
+}
+
+
 def _build_map(cfg, space, field="map") -> IndexMap:
     sub = _get(cfg, field, dict)
     kind = _get(sub, "type", str)
-    if kind == "identity":
-        return identity_map(space.n)
-    if kind == "permutation":
-        return permutation_map(_get(sub, "targets", list))
-    if kind == "swap":
-        return swap_map(space.n, _get(sub, "i", int), _get(sub, "j", int))
-    if kind == "shift":
-        return grid_shift_map(space, _get(sub, "steps", list))
-    if kind == "torus_flip":
-        return torus_flip_map(space, _get(sub, "axis", int))
-    if kind == "torus_rotation":
-        return torus_rotation_map(space)
-    if kind == "interval_reflection":
-        return interval_reflection_map(space)
-    if kind == "scaling":
-        return scaling_map(space, _get(sub, "factor", int))
-    if kind == "sphere_rotation":
-        return sphere_rotation_map(space, steps=sub.get("steps", 1))
-    if kind == "sphere_reflection":
-        return sphere_reflection_map(space)
-    raise ConfigError(f"{field}.type", f"unknown map type {kind!r}")
+    if kind not in _MAPS:
+        raise ConfigError(f"{field}.type", f"unknown map type {kind!r}")
+    return _MAPS[kind](sub, space)
 
 
 def _build_state(cfg, space, field="u0") -> np.ndarray:
@@ -110,16 +112,15 @@ def _build_state(cfg, space, field="u0") -> np.ndarray:
     if isinstance(sub, list):
         state = np.asarray(sub, dtype=np.float64)
     else:
-        kind = _get(sub, "kind", str, required=False, default="values")
+        kind = _get(sub, "kind", str, "values")
         if kind == "values" or "values" in sub:
             state = np.asarray(_get(sub, "values", list), dtype=np.float64)
         elif kind == "constant":
-            state = np.full(space.n, float(_get(sub, "value", (int, float))))
+            state = np.full(space.n, float(_get(sub, "value", _NUMBER)))
         elif kind == "random_uniform":
             rng = np.random.Generator(np.random.Philox(_get(sub, "seed", int)))
-            low = sub.get("low", 0.0)
-            high = sub.get("high", 2.0 * np.pi)
-            state = rng.uniform(low, high, space.n)
+            state = rng.uniform(_get(sub, "low", _NUMBER, 0.0),
+                                _get(sub, "high", _NUMBER, 2.0 * np.pi), space.n)
         elif kind == "twisted":
             state = twisted_state(space, _get(sub, "q", list))
         else:
@@ -131,30 +132,24 @@ def _build_state(cfg, space, field="u0") -> np.ndarray:
 
 def _span(cfg):
     """(t_end, step, sample_every) of a command that integrates."""
-    return (_get(cfg, "t_end", (int, float)), _get(cfg, "step", (int, float)),
-            cfg.get("sample_every", 1))
+    return (_get(cfg, "t_end", _NUMBER), _get(cfg, "step", _NUMBER),
+            _get(cfg, "sample_every", int, 1))
 
 
 def _build_model(cfg):
-    sub = _get(cfg, "model", dict, required=False, default={})
-    number = (int, float)
-    return kuramoto_model(_get(sub, "omega", number, required=False, default=0.0),
-                          _get(sub, "alpha", number, required=False, default=0.0))
+    sub = _get(cfg, "model", dict, {})
+    return kuramoto_model(_get(sub, "omega", _NUMBER, 0.0),
+                          _get(sub, "alpha", _NUMBER, 0.0))
 
 
-def _collect_seeds(obj):
+def _collect_seeds(node, prefix=""):
+    """Every ``seed`` field of the config, keyed by its dotted path, in document order."""
     seeds = {}
-
-    def walk(prefix, node):
-        if isinstance(node, dict):
-            for k, v in node.items():
-                key = f"{prefix}.{k}" if prefix else k
-                if k == "seed":
-                    seeds[key] = v
-                else:
-                    walk(key, v)
-
-    walk("", obj)
+    for key, value in (node.items() if isinstance(node, dict) else ()):
+        if key == "seed":
+            seeds[prefix + key] = value
+        else:
+            seeds.update(_collect_seeds(value, f"{prefix}{key}."))
     return seeds
 
 
@@ -167,21 +162,23 @@ def _run_simulate(cfg, out):
     return 0
 
 
+def _write_report(out, report: ExperimentReport) -> int:
+    """Write report.json and series.csv; exit status 1 only for a failed comparison."""
+    (out / "report.json").write_text(report.to_json())
+    report.series_to_csv(out / "series.csv")
+    return 1 if report.passed is False else 0
+
+
 def _run_twisted(cfg, out):
     space = make_grid_space("torus", _get(cfg, "resolution", list))
     q = _get(cfg, "q", list)
-    delta = _get(cfg, "delta", (int, float))
-    tolerance = cfg.get("tolerance", 1e-12)
+    delta = _get(cfg, "delta", _NUMBER)
+    tolerance = _get(cfg, "tolerance", _NUMBER, 1e-12)
     residual = twisted_residual(space, delta, q)
-    report = {
-        "name": "twisted",
-        "parameters": {"resolution": space.resolution, "delta": delta, "q": q,
-                       "tolerance": tolerance},
-        "residual": residual,
-        "passed": bool(residual <= tolerance),
-    }
-    (out / "report.json").write_text(json.dumps(report))
-    return 0 if report["passed"] else 1
+    return _write_report(out, ExperimentReport.from_series(
+        "twisted", {"resolution": space.resolution, "delta": delta, "q": q,
+                    "tolerance": tolerance},
+        [0.0], [residual], threshold=tolerance))
 
 
 def _run_ghost(cfg, out):
@@ -189,11 +186,8 @@ def _run_ghost(cfg, out):
     space_stub = make_finite_space(np.ones(n))
     imap = _build_map(cfg, space_stub)
     u0 = _build_state(cfg, space_stub)
-    report = ghost_experiment(n, _get(cfg, "p", (int, float)), _get(cfg, "seed", int),
-                              u0, imap, *_span(cfg))
-    (out / "report.json").write_text(report.to_json())
-    report.series_to_csv(out / "series.csv")
-    return 0 if report.passed in (True, None) else 1
+    return _write_report(out, ghost_experiment(n, _get(cfg, "p", _NUMBER),
+                                               _get(cfg, "seed", int), u0, imap, *_span(cfg)))
 
 
 def _run_continuity(cfg, out):
@@ -202,10 +196,21 @@ def _run_continuity(cfg, out):
     kernel_u = _build_kernel(cfg, space, field="kernel_u")
     u0 = _build_state(cfg, space, field="u0")
     v0 = _build_state(cfg, space, field="v0")
-    report = continuity_experiment(space, kernel_w, kernel_u, u0, v0, *_span(cfg))
-    (out / "report.json").write_text(report.to_json())
-    report.series_to_csv(out / "series.csv")
-    return 0 if report.passed in (True, None) else 1
+    return _write_report(out, continuity_experiment(space, kernel_w, kernel_u, u0, v0,
+                                                    *_span(cfg)))
+
+
+def _build_subspace(cfg, space):
+    sub = _get(cfg, "subspace", dict)
+    stype = _get(sub, "type", str)
+    if stype == "fixed":
+        return FixedPointSubspace([_build_map({"map": m}, space)
+                                   for m in _get(sub, "maps", list)])
+    if stype == "image":
+        return ImageSubspace(_build_map(sub, space))
+    if stype == "cluster":
+        return ClusterSubspace(_get(sub, "blocks", list))
+    raise ConfigError("subspace.type", f"unknown subspace type {stype!r}")
 
 
 def _run_audit(cfg, out):
@@ -213,42 +218,26 @@ def _run_audit(cfg, out):
     kind = _get(cfg, "audit", str)
     if kind == "automorphism":
         imap = _build_map(cfg, system.space)
-        report = check_automorphism(system, imap, cfg.get("tol", 1e-12))
+        tol = _get(cfg, "tol", _NUMBER, 1e-12)
+        expect = _get(cfg, "expect", str, None)
+        report = check_automorphism(system, imap, tol)
         (out / "report.json").write_text(report.to_json())
-        expect = cfg.get("expect")
         return 0 if expect is None or report.verdict == expect else 1
     if kind == "equivariance":
-        imap = _build_map(cfg, system.space)
-        model = _build_model(cfg)
-        u0 = _build_state(cfg, system.space)
-        deviation = equivariance_audit(system, model, imap, u0, *_span(cfg))
-        threshold = cfg.get("threshold")
-        doc = {"audit": "equivariance", "deviation": deviation, "threshold": threshold,
-               "passed": None if threshold is None else bool(deviation <= threshold)}
-        (out / "report.json").write_text(json.dumps(doc))
-        return 0 if doc["passed"] in (True, None) else 1
-    if kind == "invariance":
-        model = _build_model(cfg)
-        u0 = _build_state(cfg, system.space)
-        sub = _get(cfg, "subspace", dict)
-        stype = _get(sub, "type", str)
-        if stype == "fixed":
-            subspace = FixedPointSubspace([
-                _build_map({"map": m}, system.space) for m in _get(sub, "maps", list)
-            ])
-        elif stype == "image":
-            subspace = ImageSubspace(_build_map(sub, system.space))
-        elif stype == "cluster":
-            subspace = ClusterSubspace(_get(sub, "blocks", list))
-        else:
-            raise ConfigError("subspace.type", f"unknown subspace type {stype!r}")
-        drift = invariance_audit(system, model, subspace, u0, *_span(cfg))
-        threshold = cfg.get("threshold")
-        doc = {"audit": "invariance", "drift": drift, "threshold": threshold,
-               "passed": None if threshold is None else bool(drift <= threshold)}
-        (out / "report.json").write_text(json.dumps(doc))
-        return 0 if doc["passed"] in (True, None) else 1
-    raise ConfigError("audit", f"unknown audit kind {kind!r}")
+        series, target = _equivariance_series, _build_map(cfg, system.space)
+    elif kind == "invariance":
+        series, target = _invariance_series, _build_subspace(cfg, system.space)
+    else:
+        raise ConfigError("audit", f"unknown audit kind {kind!r}")
+    model = _build_model(cfg)
+    u0 = _build_state(cfg, system.space)
+    threshold = _get(cfg, "threshold", _NUMBER, None)
+    t_end, step, sample_every = _span(cfg)
+    times, measured = series(system, model, target, u0, t_end, step, sample_every)
+    return _write_report(out, ExperimentReport.from_series(
+        kind, {"n": system.n, "t_end": t_end, "step": step, "threshold": threshold,
+               "label": system.label},
+        times, measured, threshold=threshold))
 
 
 def _run_meanfield(cfg, out):
@@ -266,40 +255,30 @@ def _run_meanfield(cfg, out):
 
 
 def _run_norms(cfg, out):
-    if "weights" in cfg:
-        space = make_finite_space(_get(cfg, "weights", list))
-    else:
-        space = make_finite_space(np.ones(len(_get(cfg, "matrix", list))))
     matrix = np.array(_get(cfg, "matrix", list), dtype=np.float64)
-    method = cfg.get("method", "exact")
+    space = make_finite_space(_get(cfg, "weights", list, np.ones(len(matrix))))
+    method = _get(cfg, "method", str, "exact")
     if method == "exact":
         result = inf_to_one_norm_exact(space, matrix)
     elif method == "lower":
-        result = inf_to_one_norm_lower(space, matrix,
-                                       restarts=cfg.get("restarts", 16),
-                                       seed=cfg.get("seed", 0))
+        result = inf_to_one_norm_lower(space, matrix, restarts=_get(cfg, "restarts", int, 16),
+                                       seed=_get(cfg, "seed", int, 0))
     else:
         raise ConfigError("method", f"unknown norm method {method!r}")
     (out / "norm.json").write_text(result.to_json())
     return 0
 
 
-_COMMANDS = {
-    "simulate": _run_simulate,
-    "twisted": _run_twisted,
-    "ghost": _run_ghost,
-    "continuity": _run_continuity,
-    "audit": _run_audit,
-    "meanfield": _run_meanfield,
-    "norms": _run_norms,
-}
+_COMMANDS = {"simulate": _run_simulate, "twisted": _run_twisted, "ghost": _run_ghost,
+             "continuity": _run_continuity, "audit": _run_audit,
+             "meanfield": _run_meanfield, "norms": _run_norms}
 
 
 def _exit_status(exc: BaseException) -> int:
     """Exit status of a run that raised: 2 for a config error, 3 for an internal one.
 
-    Config fields are read with ``config_field`` or ``.get``, so a KeyError
-    can only come from the code itself and counts as internal.
+    Config fields are read with ``config_field``, so a KeyError can only come
+    from the code itself and counts as internal.
     """
     return 2 if isinstance(exc, (ValueError, TypeError)) else 3
 

@@ -13,14 +13,22 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def config_field(doc: dict, field: str, types, required: bool = True, default=None):
-    """``doc[field]``, checked against ``types``; raises ConfigError naming the field."""
+_REQUIRED = object()
+
+
+def config_field(doc: dict, field: str, types, default=_REQUIRED):
+    """``doc[field]``, checked against ``types``; raises ConfigError naming the field.
+
+    A field without a ``default`` is required. JSON ``true``/``false`` do not
+    count as numbers: a bool passes only where ``types`` names ``bool`` itself.
+    """
     if field not in doc:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(field, "missing")
         return default
     value = doc[field]
-    if types is not None and not isinstance(value, types):
+    allowed = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
         raise ConfigError(field, f"expected {types}, got {type(value).__name__}")
     return value
 

@@ -3,7 +3,10 @@
 Covers twisted equilibria on torus grids, the symmetry-deviation bound for
 sampled graphs against their constant limit, the trajectory continuity
 bound for two kernels on one space, and informational symmetry-drift runs.
-Every verdict is recomputable from the emitted series and parameters.
+Every verdict, the CLI's equivariance and invariance audits included, is an
+:class:`ExperimentReport` built by :meth:`ExperimentReport.from_series`: a
+measured time series against a bound series or a constant threshold, so it
+is recomputable from the emitted series and parameters.
 """
 
 from __future__ import annotations
@@ -53,6 +56,29 @@ class ExperimentReport:
             "notes": self.notes,
         }
         return json.dumps(doc)
+
+    @classmethod
+    def from_series(cls, name: str, parameters: dict, times, measured, *,
+                    threshold: float | None = None, bound=None,
+                    certified: bool = True) -> "ExperimentReport":
+        """Report comparing ``measured`` samplewise with a bound series or a threshold.
+
+        A threshold becomes a constant bound series; with neither, the report
+        is informational (``bound`` and ``passed`` None). A bound that rests
+        on a heuristic norm (``certified=False``) is shown but gives no verdict.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        measured = np.asarray(measured, dtype=np.float64)
+        if threshold is not None:
+            bound = np.full_like(times, threshold)
+            comparison = "measured <= threshold at every sample"
+        elif bound is not None:
+            comparison = "measured <= bound at every sample"
+        else:
+            comparison = "informational"
+        passed = bool(np.all(measured <= bound)) if bound is not None and certified else None
+        notes = "" if certified else "heuristic lower bound on the norm; informational only"
+        return cls(name, parameters, times, measured, bound, comparison, passed, notes)
 
     def series_to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -120,24 +146,13 @@ def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
     norm_res, exact = _norm_for(space, diff, heuristic_seed=seed)
 
     traj = integrate(system, kuramoto_model(0.0, 0.0), u0, t_end, step, sample_every)
-    measured = np.array([
-        l1_distance(space, pullback(imap, s), s) for s in traj.states
-    ])
-    bound = ghost_bound(0.0, norm_res.value, traj.times)
-    passed = bool(np.all(measured <= bound)) if exact else None
-    return ExperimentReport(
-        name="ghost",
-        parameters={
-            "n": n, "p": p, "seed": seed, "t_end": t_end, "step": step,
-            "d0": 0.0, "norm": norm_res.value, "norm_method": norm_res.method,
-        },
-        times=traj.times,
-        measured=measured,
-        bound=bound,
-        comparison="measured <= bound at every sample",
-        passed=passed,
-        notes="" if exact else "heuristic lower bound on the norm; informational only",
-    )
+    measured = [l1_distance(space, pullback(imap, s), s) for s in traj.states]
+    return ExperimentReport.from_series(
+        "ghost",
+        {"n": n, "p": p, "seed": seed, "t_end": t_end, "step": step,
+         "d0": 0.0, "norm": norm_res.value, "norm_method": norm_res.method},
+        traj.times, measured, bound=ghost_bound(0.0, norm_res.value, traj.times),
+        certified=exact)
 
 
 def continuity_experiment(space: IndexSpace, kernel_w: Kernel, kernel_u: Kernel,
@@ -158,24 +173,13 @@ def continuity_experiment(space: IndexSpace, kernel_w: Kernel, kernel_u: Kernel,
     traj_w = integrate(sys_w, model, u0, t_end, step, sample_every)
     traj_u = integrate(sys_u, model, v0, t_end, step, sample_every)
     d0 = l1_distance(space, u0, v0)
-    measured = np.array([
-        l1_distance(space, a, b) for a, b in zip(traj_w.states, traj_u.states)
-    ])
-    bound = gronwall_bound(d0, norm_res.value, traj_w.times)
-    passed = bool(np.all(measured <= bound)) if exact else None
-    return ExperimentReport(
-        name="continuity",
-        parameters={
-            "n": space.n, "t_end": t_end, "step": step, "d0": d0,
-            "norm": norm_res.value, "norm_method": norm_res.method,
-        },
-        times=traj_w.times,
-        measured=measured,
-        bound=bound,
-        comparison="measured <= bound at every sample",
-        passed=passed,
-        notes="" if exact else "heuristic lower bound on the norm; informational only",
-    )
+    measured = [l1_distance(space, a, b) for a, b in zip(traj_w.states, traj_u.states)]
+    return ExperimentReport.from_series(
+        "continuity",
+        {"n": space.n, "t_end": t_end, "step": step, "d0": d0,
+         "norm": norm_res.value, "norm_method": norm_res.method},
+        traj_w.times, measured, bound=gronwall_bound(d0, norm_res.value, traj_w.times),
+        certified=exact)
 
 
 def symmetry_drift_experiment(system: CoupledSystem, imap: IndexMap, u0,
@@ -191,19 +195,9 @@ def symmetry_drift_experiment(system: CoupledSystem, imap: IndexMap, u0,
     model = model or kuramoto_model(0.0, 0.0)
     u0 = np.asarray(u0, dtype=np.float64)
     traj = integrate(system, model, u0, t_end, step, sample_every)
-    measured = np.array([
-        l1_distance(system.space, pullback(imap, s), s) for s in traj.states
-    ])
-    bound = None if threshold is None else np.full_like(traj.times, threshold)
-    passed = None if threshold is None else bool(np.all(measured <= threshold))
-    return ExperimentReport(
-        name="symmetry-drift",
-        parameters={"n": system.n, "t_end": t_end, "step": step,
-                    "threshold": threshold, "label": system.label},
-        times=traj.times,
-        measured=measured,
-        bound=bound,
-        comparison="measured <= threshold at every sample" if threshold is not None
-        else "informational",
-        passed=passed,
-    )
+    measured = [l1_distance(system.space, pullback(imap, s), s) for s in traj.states]
+    return ExperimentReport.from_series(
+        "symmetry-drift",
+        {"n": system.n, "t_end": t_end, "step": step, "threshold": threshold,
+         "label": system.label},
+        traj.times, measured, threshold=threshold)

@@ -290,7 +290,7 @@ def kernel_from_spec(spec: dict) -> Kernel:
         return canonical_embedding(get("adjacency", list))
     if variant == "geodesic":
         return GeodesicKernel(get("geometry", str), get("delta", number),
-                              dim=get("dim", int, required=False))
+                              dim=get("dim", int, None))
     raise ConfigError("variant", f"unknown kernel variant {variant!r}")
 
 

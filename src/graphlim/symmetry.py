@@ -346,6 +346,16 @@ def subspace_distance(space: IndexSpace, subspace, state: np.ndarray) -> float:
 # audits
 
 
+def _equivariance_series(system: CoupledSystem, model: ModelFunctions, imap: IndexMap,
+                         state0, t_end: float, step: float = 1e-3, sample_every: int = 1):
+    """Sample times and commutator deviations ||phi*(Phi_t u) - Phi_t(phi* u)||_1."""
+    u0 = np.asarray(state0, dtype=np.float64)
+    direct = integrate(system, model, u0, t_end, step, sample_every)
+    mapped = integrate(system, model, pullback(imap, u0), t_end, step, sample_every)
+    return direct.times, np.array([l1_distance(system.space, pullback(imap, a), b)
+                                   for a, b in zip(direct.states, mapped.states)])
+
+
 def equivariance_audit(system: CoupledSystem, model: ModelFunctions, imap: IndexMap,
                        state0, t_end: float, step: float = 1e-3,
                        sample_every: int = 1) -> float:
@@ -355,13 +365,20 @@ def equivariance_audit(system: CoupledSystem, model: ModelFunctions, imap: Index
     trajectories samplewise; a true automorphism leaves only integrator
     noise.
     """
+    return float(np.max(_equivariance_series(system, model, imap, state0, t_end, step,
+                                             sample_every)[1]))
+
+
+def _invariance_series(system: CoupledSystem, model: ModelFunctions, subspace, state0,
+                       t_end: float, step: float = 1e-3, sample_every: int = 1):
+    """Sample times and distances from the subspace along the trajectory."""
     u0 = np.asarray(state0, dtype=np.float64)
-    direct = integrate(system, model, u0, t_end, step, sample_every)
-    mapped = integrate(system, model, pullback(imap, u0), t_end, step, sample_every)
-    dev = 0.0
-    for a, b in zip(direct.states, mapped.states):
-        dev = max(dev, l1_distance(system.space, pullback(imap, a), b))
-    return dev
+    d0 = subspace_distance(system.space, subspace, u0)
+    if d0 > 1e-12:
+        raise ValueError(f"initial state is {d0} away from the subspace")
+    traj = integrate(system, model, u0, t_end, step, sample_every)
+    return traj.times, np.array([subspace_distance(system.space, subspace, s)
+                                 for s in traj.states])
 
 
 def invariance_audit(system: CoupledSystem, model: ModelFunctions, subspace,
@@ -371,9 +388,5 @@ def invariance_audit(system: CoupledSystem, model: ModelFunctions, subspace,
 
     ``state0`` must already lie in the subspace (within 1e-12).
     """
-    u0 = np.asarray(state0, dtype=np.float64)
-    d0 = subspace_distance(system.space, subspace, u0)
-    if d0 > 1e-12:
-        raise ValueError(f"initial state is {d0} away from the subspace")
-    traj = integrate(system, model, u0, t_end, step, sample_every)
-    return max(subspace_distance(system.space, subspace, s) for s in traj.states)
+    return float(np.max(_invariance_series(system, model, subspace, state0, t_end, step,
+                                           sample_every)[1]))

@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from graphlim import FixedPointSubspace, discretize, equivariance_audit, geodesic_kernel, \
+    grid_shift_map, invariance_audit, kuramoto_model, make_grid_space, project_fixed, \
+    torus_flip_map
 from graphlim.cli import main
 
 
@@ -22,7 +26,7 @@ def test_twisted_command(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
-    assert report["residual"] <= 1e-12
+    assert report["measured"][0] <= 1e-12
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "twisted"
     assert manifest["exit_status"] == 0
@@ -237,3 +241,138 @@ def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["exit_status"] == 3
     assert manifest["error"] == "KeyError: 'missing'"
+
+
+def test_bools_are_not_numbers(tmp_path, capsys):
+    base = {
+        "command": "simulate",
+        "space": {"geometry": "interval", "resolution": [4]},
+        "kernel": {"variant": "constant", "value": 1.0},
+        "u0": {"kind": "constant", "value": 0.0},
+        "t_end": 0.1, "step": 0.05,
+    }
+    er = dict(base, er={"n": True, "p": 0.5, "seed": 1})
+    del er["space"], er["kernel"]
+    for doc, field in ((dict(base, model={"omega": True}), "omega"),
+                       (dict(base, t_end=True), "t_end"),
+                       (er, "n")):
+        out = tmp_path / field
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert repr(field) in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"].startswith(f"ConfigError: field {field!r}: expected")
+        assert manifest["error"].endswith("got bool")
+
+
+def test_optional_scalars_are_type_checked(tmp_path, capsys):
+    ghost = {
+        "command": "ghost", "n": 16, "p": 0.5, "seed": 3,
+        "map": {"type": "swap", "i": 0, "j": 1},
+        "u0": {"kind": "constant", "value": 1.0},
+        "t_end": 1.0, "step": 0.01, "sample_every": "5",
+    }
+    audit = {
+        "command": "audit", "audit": "equivariance",
+        "er": {"n": 12, "p": 0.5, "seed": 3},
+        "map": {"type": "swap", "i": 0, "j": 1},
+        "u0": {"kind": "random_uniform", "seed": 2},
+        "t_end": 2.0, "step": 0.01, "threshold": "1e-8",
+    }
+    for doc, field in ((ghost, "sample_every"), (audit, "threshold")):
+        out = tmp_path / field
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(field) in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"].startswith(f"ConfigError: field {field!r}: expected")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+REPORT_KEYS = ["name", "parameters", "times", "measured", "bound", "comparison", "passed",
+               "notes"]
+TORUS = {"space": {"geometry": "torus", "resolution": [8, 8]},
+         "kernel": {"variant": "geodesic", "delta": 0.3},
+         "model": {"omega": 0.5, "alpha": 0.2}}
+EQUIVARIANCE = dict(TORUS, command="audit", audit="equivariance",
+                    map={"type": "shift", "steps": [3, 1]},
+                    u0={"kind": "random_uniform", "seed": 5},
+                    t_end=0.5, step=0.01, sample_every=5, threshold=1e-8)
+INVARIANCE = dict(TORUS, command="audit", audit="invariance",
+                  subspace={"type": "fixed", "maps": [{"type": "torus_flip", "axis": 0}]},
+                  t_end=0.5, step=0.01, sample_every=10, threshold=1e-10)
+VERDICT_CONFIGS = {
+    "twisted": {"command": "twisted", "resolution": [12, 12], "delta": 0.2, "q": [1, 2]},
+    "ghost": {"command": "ghost", "n": 10, "p": 0.5, "seed": 3,
+              "map": {"type": "swap", "i": 0, "j": 1},
+              "u0": {"kind": "constant", "value": 1.0},
+              "t_end": 0.3, "step": 0.01, "sample_every": 10},
+    "continuity": {"command": "continuity",
+                   "space": {"geometry": "abstract", "weights": [1, 1, 1, 1]},
+                   "kernel_w": {"variant": "constant", "value": 1.0},
+                   "kernel_u": {"variant": "constant", "value": 0.5},
+                   "u0": {"kind": "random_uniform", "seed": 1},
+                   "v0": {"kind": "random_uniform", "seed": 2},
+                   "t_end": 0.2, "step": 0.01, "sample_every": 4},
+    "equivariance": EQUIVARIANCE,
+}
+
+
+def _invariance_state():
+    space = make_grid_space("torus", (8, 8))
+    u = np.random.Generator(np.random.Philox(9)).uniform(0, 2 * np.pi, space.n)
+    return space, project_fixed([torus_flip_map(space, 0)], u)
+
+
+def _run_verdict(tmp_path, name, doc):
+    out = tmp_path / name
+    assert main(["run", write_config(tmp_path, doc, f"{name}.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = (out / "series.csv").read_text().splitlines()
+    return report, rows
+
+
+def test_every_verdict_command_writes_one_report_schema(tmp_path):
+    _, u0 = _invariance_state()
+    configs = dict(VERDICT_CONFIGS, invariance=dict(INVARIANCE, u0=u0.tolist()))
+    for name, doc in configs.items():
+        report, rows = _run_verdict(tmp_path, name, doc)
+        assert list(report) == REPORT_KEYS, name
+        assert report["passed"] is True, name
+        assert len(report["times"]) == len(report["measured"]) == len(report["bound"])
+        assert rows[0] == "t,measured,bound"
+        assert len(rows) == 1 + len(report["times"]), name
+        assert float(rows[1].split(",")[1]) == report["measured"][0]
+    twisted, rows = _run_verdict(tmp_path, "twisted", configs["twisted"])
+    assert twisted["times"] == [0.0] and twisted["bound"] == [1e-12]
+    assert len(rows) == 2
+
+
+def test_cli_audits_keep_the_series_behind_the_audit_value(tmp_path):
+    space, u_inv = _invariance_state()
+    system = discretize(geodesic_kernel("torus", 0.3, dim=2), space)
+    model = kuramoto_model(0.5, 0.2)
+
+    report, _ = _run_verdict(tmp_path, "equivariance", EQUIVARIANCE)
+    u0 = np.random.Generator(np.random.Philox(5)).uniform(0.0, 2.0 * np.pi, space.n)
+    expected = equivariance_audit(system, model, grid_shift_map(space, [3, 1]), u0,
+                                  0.5, 0.01, 5)
+    assert max(report["measured"]) == expected
+    assert len(report["times"]) == 11
+
+    report, _ = _run_verdict(tmp_path, "invariance", dict(INVARIANCE, u0=u_inv.tolist()))
+    subspace = FixedPointSubspace([torus_flip_map(space, 0)])
+    expected = invariance_audit(system, model, subspace, u_inv, 0.5, 0.01, 10)
+    assert max(report["measured"]) == expected
+    assert len(report["times"]) == 6
+
+
+def test_audit_without_threshold_is_informational(tmp_path):
+    doc = dict(EQUIVARIANCE)
+    del doc["threshold"]
+    report, rows = _run_verdict(tmp_path, "informational", doc)
+    assert report["passed"] is None and report["bound"] is None
+    assert report["comparison"] == "informational"
+    assert rows[1].endswith(",")
