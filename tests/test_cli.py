@@ -337,15 +337,16 @@ def _run_verdict(tmp_path, name, doc):
 def test_every_verdict_command_writes_one_report_schema(tmp_path):
     _, u0 = _invariance_state()
     configs = dict(VERDICT_CONFIGS, invariance=dict(INVARIANCE, u0=u0.tolist()))
+    reports = {}
     for name, doc in configs.items():
-        report, rows = _run_verdict(tmp_path, name, doc)
+        report, rows = reports[name] = _run_verdict(tmp_path, name, doc)
         assert list(report) == REPORT_KEYS, name
         assert report["passed"] is True, name
         assert len(report["times"]) == len(report["measured"]) == len(report["bound"])
         assert rows[0] == "t,measured,bound"
         assert len(rows) == 1 + len(report["times"]), name
         assert float(rows[1].split(",")[1]) == report["measured"][0]
-    twisted, rows = _run_verdict(tmp_path, "twisted", configs["twisted"])
+    twisted, rows = reports["twisted"]
     assert twisted["times"] == [0.0] and twisted["bound"] == [1e-12]
     assert len(rows) == 2
 
