@@ -14,7 +14,8 @@ from .errors import DegenerateFiberError, NumericError, SizeLimitError
 from .space import IndexSpace, make_finite_space, make_grid_space, uniform_space
 from .kernels import BlockKernel, ConstantKernel, CustomKernel, GeodesicKernel, Kernel, \
     MatrixKernel, canonical_embedding, geodesic_kernel, kernel_from_json, kernel_from_spec
-from .systems import CoupledSystem, adjacency_matrix, discretize, from_rows, sample_er
+from .systems import CoupledSystem, adjacency_matrix, discretize, disjoint_union, from_rows, \
+    sample_er
 from .dynamics import ModelFunctions, Trajectory, integrate, kuramoto_model, rhs
 from .norms import NormResult, ghost_bound, gronwall_bound, inf_to_one_norm_exact, \
     inf_to_one_norm_lower, l1_distance

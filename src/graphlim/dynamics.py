@@ -4,7 +4,9 @@ Each node obeys du_i/dt = f(u_i, sum_j w_ij g(u_i, u_j)) where f is the
 activation and g the coupling function. Integration is classical
 fixed-step fourth-order Runge-Kutta; summation within a row runs in
 ascending neighbor order, so identical inputs give bit-identical
-trajectories.
+trajectories. The RK4 update makes no temporaries of its own and keeps
+the textbook formula's bits. Rows never mix, so a ``systems.disjoint_union`` integrates each part
+as a separate run would, while it stays on that part's RHS path.
 
 Large systems (at least ``_SEGMENT_NNZ`` nonzeros) under the Kuramoto
 preset skip the nnz-length ``sin``: each pair term sin(u_j - u_i + alpha)
@@ -137,12 +139,31 @@ def _rhs_unchecked(system, model, u):
     return model.f(u, s)
 
 
-def _rk4_step(fn, y, h):
+def _rk4_step(fn, y, h, out, scratch):
+    """Write y + (h/6)(k1 + 2k2 + 2k3 + k4) into ``out``, same operands in the same order.
+
+    Each stage input has its own scratch array: nothing handed to ``fn`` is
+    written again within the step, so an ``fn`` may return its argument.
+    """
+    y2, y3, y4, k3x2 = scratch
     k1 = fn(y)
-    k2 = fn(y + (h / 2.0) * k1)
-    k3 = fn(y + (h / 2.0) * k2)
-    k4 = fn(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    np.multiply(k1, h / 2.0, out=y2)
+    y2 += y
+    k2 = fn(y2)
+    np.multiply(k2, h / 2.0, out=y3)
+    y3 += y
+    k3 = fn(y3)
+    np.multiply(k3, h, out=y4)
+    y4 += y
+    k4 = fn(y4)
+    np.multiply(k2, 2.0, out=out)
+    out += k1
+    np.multiply(k3, 2.0, out=k3x2)
+    out += k3x2
+    out += k4
+    out *= h / 6.0
+    out += y
+    return out
 
 
 def _integrate_core(fn, y0, t_end, step, sample_every):
@@ -160,16 +181,29 @@ def _integrate_core(fn, y0, t_end, step, sample_every):
     nsteps = max(1, int(round(abs(t_end) / step)))
     h = t_end / nsteps
     y = np.array(y0, dtype=np.float64)
+    out = np.empty_like(y)
+    scratch = [np.empty_like(y) for _ in range(4)]
+    states = np.empty((1 + -(-nsteps // sample_every),) + y.shape)
+    states[0] = y
     times = [0.0]
-    states = [y.copy()]
     for k in range(1, nsteps + 1):
-        y = _rk4_step(fn, y, h)
-        if not np.all(np.isfinite(y)):
+        y, out = _rk4_step(fn, y, h, out, scratch), y
+        if not np.isfinite(y).all():
             raise NumericError(f"non-finite state at t={k * h}", time=k * h)
         if k % sample_every == 0 or k == nsteps:
+            states[len(times)] = y
             times.append(k * h)
-            states.append(y.copy())
-    return np.array(times), np.stack(states)
+    return np.array(times), states
+
+
+def _initial_state(state0, n: int) -> np.ndarray:
+    """``state0`` as a float64 array, checked to have shape (n,) and finite entries."""
+    u0 = np.asarray(state0, dtype=np.float64)
+    if u0.shape != (n,):
+        raise ValueError(f"state length {u0.shape} does not match system size {n}")
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("initial state must be finite")
+    return u0
 
 
 def integrate(system: CoupledSystem, model: ModelFunctions, state0,
@@ -180,11 +214,7 @@ def integrate(system: CoupledSystem, model: ModelFunctions, state0,
     contains t=0 and t=t_end; intermediate states are kept every
     ``sample_every`` steps.
     """
-    u0 = np.asarray(state0, dtype=np.float64)
-    if u0.shape != (system.n,):
-        raise ValueError(f"state length {u0.shape} does not match system size {system.n}")
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("initial state must be finite")
+    u0 = _initial_state(state0, system.n)
 
     def fn(u):
         return _rhs_unchecked(system, model, u)

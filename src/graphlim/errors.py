@@ -14,6 +14,16 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+# JSON names of the Python types a config document decodes to.
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
+
+
+def _json_types(types) -> str:
+    names = [_JSON_NAMES.get(t, t.__name__) for t in types]
+    if "integer" in names and "number" in names:
+        names.remove("integer")
+    return " or ".join(names)
 
 
 def config_field(doc: dict, field: str, types, default=_REQUIRED):
@@ -21,6 +31,7 @@ def config_field(doc: dict, field: str, types, default=_REQUIRED):
 
     A field without a ``default`` is required. JSON ``true``/``false`` do not
     count as numbers: a bool passes only where ``types`` names ``bool`` itself.
+    The message names JSON types: ``expected number, got boolean``.
     """
     if field not in doc:
         if default is _REQUIRED:
@@ -29,7 +40,8 @@ def config_field(doc: dict, field: str, types, default=_REQUIRED):
     value = doc[field]
     allowed = types if isinstance(types, tuple) else (types,)
     if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
-        raise ConfigError(field, f"expected {types}, got {type(value).__name__}")
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ConfigError(field, f"expected {_json_types(allowed)}, got {got}")
     return value
 
 

@@ -146,6 +146,24 @@ def from_rows(space: IndexSpace, rows, label: str = "",
                          fiber_normalization=fiber_normalization)
 
 
+def disjoint_union(systems) -> tuple[CoupledSystem, np.ndarray]:
+    """Block-diagonal union of ``systems`` and its node offsets.
+
+    Component k holds nodes ``offsets[k]`` to ``offsets[k + 1] - 1`` and keeps
+    its rows, entry for entry, with columns shifted by ``offsets[k]``. The
+    union lies on ``uniform_space`` of the total size; that space only fixes
+    the node count, since the dynamics read nothing but the CSR arrays.
+    """
+    offsets = np.cumsum([0] + [s.n for s in systems])
+    entry_offsets = np.cumsum([0] + [s.indices.size for s in systems])
+    indptr = np.concatenate([[0]] + [s.indptr[1:] + e for s, e in zip(systems, entry_offsets)])
+    indices = np.concatenate([s.indices + o for s, o in zip(systems, offsets)])
+    weights = np.concatenate([s.weights for s in systems])
+    union = CoupledSystem(uniform_space(int(offsets[-1])), indptr, indices, weights,
+                          label="+".join(s.label for s in systems))
+    return union, offsets
+
+
 def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
     """CSR system from the dense masses ``row_block(lo, hi)`` of rows lo..hi-1, asked in order.
 

@@ -253,16 +253,32 @@ def test_bools_are_not_numbers(tmp_path, capsys):
     }
     er = dict(base, er={"n": True, "p": 0.5, "seed": 1})
     del er["space"], er["kernel"]
-    for doc, field in ((dict(base, model={"omega": True}), "omega"),
-                       (dict(base, t_end=True), "t_end"),
-                       (er, "n")):
+    for doc, field, expected in ((dict(base, model={"omega": True}), "omega", "number"),
+                                 (dict(base, t_end=True), "t_end", "number"),
+                                 (er, "n", "integer")):
         out = tmp_path / field
         assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
         assert repr(field) in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 2
-        assert manifest["error"].startswith(f"ConfigError: field {field!r}: expected")
-        assert manifest["error"].endswith("got bool")
+        assert manifest["error"] == \
+            f"ConfigError: field {field!r}: expected {expected}, got boolean"
+
+
+def test_config_errors_name_json_types():
+    from graphlim.errors import ConfigError, config_field
+    cases = [("x", int, "expected integer, got string"),
+             (1.5, int, "expected integer, got number"),
+             (2, str, "expected string, got integer"),
+             (None, (int, float), "expected number, got null"),
+             ([1], dict, "expected object, got array"),
+             ("x", (dict, list), "expected object or array, got string"),
+             (False, float, "expected number, got boolean")]
+    for value, types, message in cases:
+        with pytest.raises(ConfigError) as err:
+            config_field({"f": value}, "f", types)
+        assert str(err.value) == f"field 'f': {message}"
+    assert config_field({"f": True}, "f", bool) is True
 
 
 def test_optional_scalars_are_type_checked(tmp_path, capsys):

@@ -11,6 +11,7 @@ from graphlim import (
     NumericError,
     Trajectory,
     discretize,
+    disjoint_union,
     from_rows,
     geodesic_kernel,
     integrate,
@@ -18,6 +19,7 @@ from graphlim import (
     kuramoto_model,
     make_finite_space,
     make_grid_space,
+    meanfield_rhs,
     rhs,
     sample_er,
     spherical_graphop,
@@ -338,3 +340,96 @@ def test_dirac_clouds_follow_node_dynamics_bitwise_on_large_system():
     td = integrate(sys, kuramoto_model(0.0, 0.0), u0, 0.2, 1e-2)
     tm = integrate_meanfield(sys, MeasureState(u0[:, None]), 0.2, 1e-2)
     assert np.array_equal(td.states, tm.states[:, :, 0])
+
+
+def textbook_rk4(fn, y0, t_end, step, sample_every=1):
+    """Sampled states of y <- y + (h/6)(k1 + 2k2 + 2k3 + k4), all temporaries fresh."""
+    nsteps = max(1, int(round(abs(t_end) / step)))
+    h = t_end / nsteps
+    y = np.array(y0, dtype=np.float64)
+    states = [y]
+    for k in range(1, nsteps + 1):
+        k1 = fn(y)
+        k2 = fn(y + (h / 2.0) * k1)
+        k3 = fn(y + (h / 2.0) * k2)
+        k4 = fn(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % sample_every == 0 or k == nsteps:
+            states.append(y)
+    return np.stack(states)
+
+
+def test_rk4_matches_textbook_step_under_kuramoto_preset():
+    rng = np.random.Generator(np.random.Philox(41))
+    for sys, t_end, step, every in ((sample_er(23, 0.5, 4), 0.5, 1e-3, 7),
+                                    (LARGE_SYSTEMS["isolated_nodes"](), -0.1, 1e-2, 1)):
+        model = kuramoto_model(0.4, 0.3)
+        u0 = rng.uniform(0, 2 * np.pi, sys.n)
+        traj = integrate(sys, model, u0, t_end, step, sample_every=every)
+        want = textbook_rk4(lambda u: rhs(sys, model, u), u0, t_end, step, every)
+        assert np.array_equal(traj.states, want)
+
+
+def test_rk4_matches_textbook_step_when_f_returns_its_argument():
+    sys = sample_er(16, 0.5, 9)
+    model = ModelFunctions(f=lambda u, s: u, g=lambda u, v: np.sin(v - u))
+    u0 = np.random.Generator(np.random.Philox(42)).uniform(-1.0, 1.0, sys.n)
+    traj = integrate(sys, model, u0, 1.0, 1e-2)
+    want = textbook_rk4(lambda u: rhs(sys, model, u), u0, 1.0, 1e-2)
+    assert np.array_equal(traj.states, want)
+    assert not np.array_equal(traj.states[-1], u0)  # the run moved
+
+
+def test_rk4_matches_textbook_step_on_meanfield_clouds():
+    sys = sample_er(20, 0.5, 11)
+    clouds = np.random.Generator(np.random.Philox(43)).uniform(0, 2 * np.pi, (sys.n, 3))
+    traj = integrate_meanfield(sys, MeasureState(clouds), 0.5, 1e-2, sample_every=5)
+    want = textbook_rk4(lambda u: meanfield_rhs(sys, u), clouds, 0.5, 1e-2, 5)
+    assert np.array_equal(traj.states, want)
+
+
+def empty_row_system():
+    """Weighted graph on 10 nodes whose node 3 has no neighbors."""
+    rng = np.random.Generator(np.random.Philox(44))
+    a = rng.uniform(size=(10, 10))
+    a = (a + a.T) / 2
+    a[3, :] = a[:, 3] = 0.0
+    return discretize(MatrixKernel(a), uniform_space(10))
+
+
+def _matrix_system(seed):
+    a = np.random.Generator(np.random.Philox(seed)).uniform(size=(12, 12))
+    return discretize(MatrixKernel((a + a.T) / 2), uniform_space(12))
+
+
+UNIONS = {
+    "matrix12_pair": lambda: [_matrix_system(45), _matrix_system(46)],
+    "er23_er16": lambda: [sample_er(23, 0.5, 47), sample_er(16, 0.5, 48)],
+    "empty_row": lambda: [empty_row_system(), sample_er(16, 0.5, 49), empty_row_system()],
+    "product_path": lambda: [isolated_node_system(), nonuniform_system()],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS))
+def test_disjoint_union_integrates_each_component_bitwise(name):
+    parts = UNIONS[name]()
+    union, offsets = disjoint_union(parts)
+    assert offsets.tolist() == np.cumsum([0] + [p.n for p in parts]).tolist()
+    if name == "product_path":
+        assert min(p.indices.size for p in parts) >= _SEGMENT_NNZ
+    else:
+        assert union.indices.size < _SEGMENT_NNZ
+    dense = union.dense()
+    for k, part in enumerate(parts):
+        block = slice(offsets[k], offsets[k + 1])
+        assert np.array_equal(dense[block, block], part.dense())
+        assert np.count_nonzero(dense[block]) == part.indices.size  # nothing off-block
+    rng = np.random.Generator(np.random.Philox(50))
+    starts = [rng.uniform(0, 2 * np.pi, p.n) for p in parts]
+    model = kuramoto_model(0.2, 0.3)
+    steps = (0.2, 1e-2) if name == "product_path" else (1.0, 1e-3)
+    joint = integrate(union, model, np.concatenate(starts), *steps, sample_every=3)
+    for k, (part, u0) in enumerate(zip(parts, starts)):
+        alone = integrate(part, model, u0, *steps, sample_every=3)
+        assert np.array_equal(joint.times, alone.times)
+        assert np.array_equal(joint.states[:, offsets[k]:offsets[k + 1]], alone.states)

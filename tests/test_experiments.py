@@ -8,7 +8,13 @@ from graphlim import (
     ConstantKernel,
     MatrixKernel,
     continuity_experiment,
+    discretize,
     ghost_experiment,
+    gronwall_bound,
+    inf_to_one_norm_exact,
+    integrate,
+    kuramoto_model,
+    l1_distance,
     make_grid_space,
     sample_er,
     swap_map,
@@ -125,6 +131,41 @@ def test_continuity_random_pairs_pass():
         rep = continuity_experiment(space, MatrixKernel(a), MatrixKernel(b),
                                     u0, u0, 2.0, 1e-2)
         assert rep.passed is True
+
+
+def reference_continuity(space, kernel_w, kernel_u, u0, v0, t_end, step, sample_every=1):
+    """Measured and bound series of W and U integrated by two separate ``integrate`` calls."""
+    model = kuramoto_model(0.0, 0.0)
+    traj_w = integrate(discretize(kernel_w, space), model, u0, t_end, step, sample_every)
+    traj_u = integrate(discretize(kernel_u, space), model, v0, t_end, step, sample_every)
+    measured = [l1_distance(space, a, b) for a, b in zip(traj_w.states, traj_u.states)]
+    norm = inf_to_one_norm_exact(space, kernel_w.matrix(space) - kernel_u.matrix(space)).value
+    return np.array(measured), gronwall_bound(l1_distance(space, u0, v0), norm, traj_w.times)
+
+
+@pytest.mark.parametrize("seed, sample_every", [(0, 1), (1, 7), (2, 1), (3, 50)])
+def test_continuity_union_matches_two_integrations_bitwise(seed, sample_every):
+    rng = np.random.Generator(np.random.Philox(seed))
+    space = uniform_space(12)
+    a, b = rng.uniform(0, 1, (2, 12, 12))
+    kw, ku = MatrixKernel((a + a.T) / 2), MatrixKernel((b + b.T) / 2)
+    u0 = rng.uniform(0, 2 * np.pi, 12)
+    v0 = u0 if seed % 2 else rng.uniform(0, 2 * np.pi, 12)
+    rep = continuity_experiment(space, kw, ku, u0, v0, 1.0, 1e-3, sample_every=sample_every)
+    measured, bound = reference_continuity(space, kw, ku, u0, v0, 1.0, 1e-3, sample_every)
+    assert np.array_equal(rep.measured, measured)
+    assert np.array_equal(rep.bound, bound)
+    assert rep.passed is True
+
+
+def test_continuity_checks_each_initial_state():
+    space = uniform_space(12)
+    with pytest.raises(ValueError, match="does not match system size 12"):
+        continuity_experiment(space, ConstantKernel(1.0), ConstantKernel(0.5),
+                              np.zeros(11), np.zeros(13), 1.0, 1e-2)
+    with pytest.raises(ValueError, match="finite"):
+        continuity_experiment(space, ConstantKernel(1.0), ConstantKernel(0.5),
+                              np.zeros(12), np.full(12, np.nan), 1.0, 1e-2)
 
 
 def test_report_verdict_recomputable_from_series(tmp_path):
