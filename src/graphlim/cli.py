@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None, help="output directory (default: config's "
                                                   "'out' field or the current directory)")
     runp.add_argument("--threads", type=int,
-                      default=int(os.environ.get("GRAPHLIM_THREADS", "1")),
+                      default=os.environ.get("GRAPHLIM_THREADS", "1"),
                       help="worker hint recorded in the manifest; results do not "
                            "depend on it")
     try:

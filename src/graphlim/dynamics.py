@@ -7,6 +7,9 @@ ascending neighbor order, so identical inputs give bit-identical
 trajectories. The RK4 update makes no temporaries of its own and keeps
 the textbook formula's bits. Rows never mix, so a ``systems.disjoint_union`` integrates each part
 as a separate run would, while it stays on that part's RHS path.
+``integrate`` binds the derivative once (``_rhs_fn``). Small systems under
+the Kuramoto preset form their pair terms in place in one nnz-length buffer:
+on tiny systems numpy call overhead, not arithmetic, is the cost of a step.
 
 Large systems (at least ``_SEGMENT_NNZ`` nonzeros) under the Kuramoto
 preset skip the nnz-length ``sin``: each pair term sin(u_j - u_i + alpha)
@@ -99,7 +102,7 @@ def rhs(system: CoupledSystem, model: ModelFunctions, state: np.ndarray) -> np.n
     u = np.asarray(state, dtype=np.float64)
     if u.shape != (system.n,):
         raise ValueError(f"state length {u.shape} does not match system size {system.n}")
-    du = _rhs_unchecked(system, model, u)
+    du = _rhs_fn(system, model)(u)
     if not np.all(np.isfinite(du)):
         bad = int(np.flatnonzero(~np.isfinite(du))[0])
         raise NumericError(f"non-finite derivative at node {bad}", node=bad)
@@ -112,31 +115,46 @@ def rhs(system: CoupledSystem, model: ModelFunctions, state: np.ndarray) -> np.n
 _SEGMENT_NNZ = 1400
 
 
-def _rhs_unchecked(system, model, u):
-    cols = system.indices
-    if not isinstance(model, KuramotoModel) or cols.size < _SEGMENT_NNZ:
-        rows = system.row_of_entry
-        pair = model.g(u[rows], u[cols])
-        return model.f(u, np.bincount(rows, weights=system.weights * pair, minlength=system.n))
-    sin_u, cos_u = np.sin(u), np.cos(u)
-    ca, sa = np.cos(model.alpha), np.sin(model.alpha)
-    sin_a = sin_u * ca + cos_u * sa  # sin(u + alpha), error near eps at any |u|
-    cos_a = cos_u * ca - sin_u * sa
+def _rhs_fn(system, model):
+    """The derivative u -> du of ``model`` on ``system``, everything but u bound once.
+
+    Skipping a zero alpha or omega changes only a -0.0, which no row sum from +0.0 sees."""
+    rows, cols, w, n = system.row_of_entry, system.indices, system.weights, system.n
+    if not isinstance(model, KuramotoModel):
+        return lambda u: model.f(u, np.bincount(rows, weights=w * model.g(u[rows], u[cols]),
+                                                minlength=n))
+    omega, alpha = model.omega, model.alpha
+    if cols.size < _SEGMENT_NNZ:
+        def small(u):
+            d = u[cols]
+            d -= u[rows]
+            if alpha:
+                d += alpha
+            np.sin(d, out=d)
+            d *= w
+            s = np.bincount(rows, weights=d, minlength=n)
+            if omega:
+                s += omega
+            return s
+        return small
+    ca, sa = np.cos(alpha), np.sin(alpha)
     row_len = np.diff(system.indptr)  # np.repeat(x, row_len) == x[row_of_entry]
-    pair = sin_a[cols]
-    pair *= np.repeat(cos_u, row_len)
-    cross = cos_a[cols]
-    cross *= np.repeat(sin_u, row_len)
-    pair -= cross
-    pair *= system.weights
-    starts = system.indptr[:-1]
-    nonempty = starts < system.indptr[1:]
-    if nonempty.all():
-        s = np.add.reduceat(pair, starts)
-    else:  # reduceat gives an empty row the next entry, or fails past the end
-        s = np.zeros(system.n)
-        s[nonempty] = np.add.reduceat(pair, starts[nonempty])
-    return model.f(u, s)
+    nonempty = row_len > 0
+    starts = system.indptr[:-1][nonempty]
+    def large(u):
+        sin_u, cos_u = np.sin(u), np.cos(u)
+        sin_a = sin_u * ca + cos_u * sa  # sin(u + alpha), error near eps at any |u|
+        cos_a = cos_u * ca - sin_u * sa
+        pair = sin_a[cols]
+        pair *= np.repeat(cos_u, row_len)
+        cross = cos_a[cols]
+        cross *= np.repeat(sin_u, row_len)
+        pair -= cross
+        pair *= w
+        s = np.zeros(n)  # reduceat gives an empty row the next entry, or fails past the end
+        s[nonempty] = np.add.reduceat(pair, starts)
+        return omega + s  # a one-entry row may sum to -0.0, so omega = 0 is still added
+    return large
 
 
 def _rk4_step(fn, y, h, out, scratch):
@@ -215,9 +233,6 @@ def integrate(system: CoupledSystem, model: ModelFunctions, state0,
     ``sample_every`` steps.
     """
     u0 = _initial_state(state0, system.n)
-
-    def fn(u):
-        return _rhs_unchecked(system, model, u)
-
-    times, states = _integrate_core(fn, u0, float(t_end), float(step), int(sample_every))
+    times, states = _integrate_core(_rhs_fn(system, model), u0, float(t_end), float(step),
+                                    int(sample_every))
     return Trajectory(times, states)

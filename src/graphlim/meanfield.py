@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _integrate_core, _rhs_unchecked, kuramoto_model
+from .dynamics import _integrate_core, _rhs_fn, kuramoto_model
 from .space import IndexSpace
 from .systems import CoupledSystem
 
@@ -58,20 +58,24 @@ def meanfield_rhs(system: CoupledSystem, particles: np.ndarray) -> np.ndarray:
     u = np.asarray(particles, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != system.n:
         raise ValueError("particle array shape does not match the system")
-    return _meanfield_rhs_unchecked(system, u)
+    return _meanfield_rhs_fn(system, u.shape[1])(u)
 
 
 _DIRAC_MODEL = kuramoto_model(0.0, 0.0)
 
 
-def _meanfield_rhs_unchecked(system, u):
-    if u.shape[1] == 1:
-        return _rhs_unchecked(system, _DIRAC_MODEL, u[:, 0])[:, None]
-    sin_u, cos_u = np.sin(u), np.cos(u)
-    rows, cols, w = system.row_of_entry, system.indices, system.weights
-    s = np.bincount(rows, weights=w * sin_u.mean(axis=1)[cols], minlength=system.n)
-    c = np.bincount(rows, weights=w * cos_u.mean(axis=1)[cols], minlength=system.n)
-    return cos_u * s[:, None] - sin_u * c[:, None]
+def _meanfield_rhs_fn(system, m):
+    """The derivative of clouds of ``m`` particles, bound once like ``dynamics._rhs_fn``."""
+    if m == 1:
+        node = _rhs_fn(system, _DIRAC_MODEL)
+        return lambda u: node(u[:, 0])[:, None]
+    rows, cols, w, n = system.row_of_entry, system.indices, system.weights, system.n
+    def fn(u):
+        sin_u, cos_u = np.sin(u), np.cos(u)
+        s = np.bincount(rows, weights=w * sin_u.mean(axis=1)[cols], minlength=n)
+        c = np.bincount(rows, weights=w * cos_u.mean(axis=1)[cols], minlength=n)
+        return cos_u * s[:, None] - sin_u * c[:, None]
+    return fn
 
 
 @dataclass(frozen=True)
@@ -94,18 +98,13 @@ class MeasureTrajectory:
 def integrate_meanfield(system: CoupledSystem, mstate0, t_end: float,
                         step: float = 1e-3, sample_every: int = 1) -> MeasureTrajectory:
     """Fixed-step RK4 on the coupled particle system."""
-    if isinstance(mstate0, MeasureState):
-        p0 = mstate0.particles
-    else:
-        p0 = MeasureState(np.asarray(mstate0)).particles
+    p0 = (mstate0 if isinstance(mstate0, MeasureState) else MeasureState(mstate0)).particles
 
     if p0.shape[0] != system.n:
         raise ValueError("particle array shape does not match the system")
 
-    def fn(u):
-        return _meanfield_rhs_unchecked(system, u)
-
-    times, states = _integrate_core(fn, p0, float(t_end), float(step), int(sample_every))
+    times, states = _integrate_core(_meanfield_rhs_fn(system, p0.shape[1]), p0, float(t_end),
+                                    float(step), int(sample_every))
     return MeasureTrajectory(times, states)
 
 

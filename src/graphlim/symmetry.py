@@ -32,6 +32,8 @@ class IndexMap:
         t.setflags(write=False)
         object.__setattr__(self, "targets", t)
         n = t.size
+        if t.ndim != 1:
+            raise ValueError("map targets must be a 1-D array")
         if n < 1:
             raise ValueError("index map needs at least one node")
         if t.min() < 0 or t.max() >= n:

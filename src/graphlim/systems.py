@@ -30,9 +30,10 @@ class CoupledSystem:
     """Sparse row storage of a finite coupled network.
 
     ``indptr``/``indices``/``weights`` follow the CSR convention; row i is
-    ``indices[indptr[i]:indptr[i+1]]`` with matching weights, sorted by
-    neighbor index. ``fiber_normalization`` records how fiber rows were
-    scaled (None for kernel-derived systems).
+    ``indices[indptr[i]:indptr[i+1]]`` with matching weights, strictly
+    increasing in neighbor index (the dynamics would sum a repeated neighbor,
+    ``dense`` would keep one). ``fiber_normalization`` records how fiber
+    rows were scaled (None for kernel-derived systems).
     """
 
     space: IndexSpace
@@ -54,10 +55,13 @@ class CoupledSystem:
             raise ValueError("malformed row pointers")
         if np.any(np.diff(indptr) < 0):
             raise ValueError("row pointers must be nondecreasing")
-        if indices.shape != weights.shape:
-            raise ValueError("indices and weights must have matching length")
+        if indices.ndim != 1 or indices.shape != weights.shape:
+            raise ValueError("indices and weights must be 1-D of matching length")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("neighbor index out of range")
+        rows = self.row_of_entry  # compared by shifted views: no nnz-length int temporaries
+        if np.any((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])):
+            raise ValueError("neighbor indices must strictly increase within a row")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and nonnegative")
         sums = self.row_sums()

@@ -393,3 +393,25 @@ def test_audit_without_threshold_is_informational(tmp_path):
     assert report["passed"] is None and report["bound"] is None
     assert report["comparison"] == "informational"
     assert rows[1].endswith(",")
+
+
+def test_bad_threads_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"command": "twisted", "resolution": [30, 30], "delta": 0.15,
+                                  "q": [1, 3]})
+    monkeypatch.setenv("GRAPHLIM_THREADS", "two")
+    assert main(["run", cfg, "--out", str(tmp_path / "bad")]) == 2
+    assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert main(["run", cfg, "--out", str(tmp_path / "flag"), "--threads", "3"]) == 0
+    monkeypatch.setenv("GRAPHLIM_THREADS", "4")
+    assert main(["run", cfg, "--out", str(tmp_path / "env")]) == 0
+    for name, threads in (("flag", 3), ("env", 4)):
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["threads"] == threads
+
+
+def test_bad_threads_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "twisted", "resolution": [30, 30], "delta": 0.15,
+                                  "q": [1, 3]})
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--threads", "x"]) == 2
+    assert "argument --threads: invalid int value: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -25,7 +25,8 @@ from graphlim import (
     spherical_graphop,
     uniform_space,
 )
-from graphlim.dynamics import _SEGMENT_NNZ
+from graphlim import dynamics
+from graphlim.dynamics import _SEGMENT_NNZ, _rhs_fn
 
 
 def two_node_system():
@@ -433,3 +434,131 @@ def test_disjoint_union_integrates_each_component_bitwise(name):
         alone = integrate(part, model, u0, *steps, sample_every=3)
         assert np.array_equal(joint.times, alone.times)
         assert np.array_equal(joint.states[:, offsets[k]:offsets[k + 1]], alone.states)
+
+
+def reference_segment_rhs(system, model, u):
+    """The product-form RHS of large Kuramoto systems, every factor derived afresh per call."""
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    ca, sa = np.cos(model.alpha), np.sin(model.alpha)
+    sin_a = sin_u * ca + cos_u * sa
+    cos_a = cos_u * ca - sin_u * sa
+    row_len = np.diff(system.indptr)
+    pair = sin_a[system.indices]
+    pair *= np.repeat(cos_u, row_len)
+    cross = cos_a[system.indices]
+    cross *= np.repeat(sin_u, row_len)
+    pair -= cross
+    pair *= system.weights
+    starts = system.indptr[:-1]
+    nonempty = starts < system.indptr[1:]
+    if nonempty.all():
+        s = np.add.reduceat(pair, starts)
+    else:
+        s = np.zeros(system.n)
+        s[nonempty] = np.add.reduceat(pair, starts[nonempty])
+    return model.f(u, s)
+
+
+def same_bits(a, b):
+    """Bitwise equality: np.array_equal would take -0.0 for +0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_bound_rhs_is_reference(system, model, u, reference):
+    want = reference(system, model, u)
+    assert same_bits(_rhs_fn(system, model)(u), want)
+    assert same_bits(rhs(system, model, u), want)
+
+
+def test_bound_small_kuramoto_rhs_is_the_gather_reference():
+    rng = np.random.Generator(np.random.Philox(51))
+    for sys in (sample_er(23, 0.5, 52), empty_row_system(), two_node_system()):
+        assert sys.indices.size < _SEGMENT_NNZ
+        for omega, alpha in ((0.7, 0.3), (-1.1, -2.1), (0.0, 1.0), (0.4, 0.0), (0.0, 0.0)):
+            for base in (0.0, 1e4):
+                u = base + rng.uniform(-20.0, 20.0, sys.n)
+                assert_bound_rhs_is_reference(sys, kuramoto_model(omega, alpha), u, reference_rhs)
+
+
+def test_bound_small_kuramoto_rhs_keeps_signed_zeros():
+    # at alpha = 0 the reference forms (v - u) + 0.0, which turns a -0.0 difference into +0.0;
+    # the bound path skips that add, so the sums must not see the sign
+    sys = sample_er(23, 0.5, 53)
+    u = np.where(np.arange(sys.n) % 3 == 0, -0.0, 0.0)
+    assert np.any(np.signbit(u[sys.indices] - u[sys.row_of_entry]))
+    for model in (kuramoto_model(0.0, 0.0), kuramoto_model(0.0, -0.0), kuramoto_model(0.5, 0.0)):
+        assert_bound_rhs_is_reference(sys, model, u, reference_rhs)
+    # on the large path a one-entry row sums to its pair term, here -0.0 at alpha = -0.0,
+    # and only the add of omega = 0 turns it into +0.0
+    n = 2 * _SEGMENT_NNZ
+    pairs = from_rows(uniform_space(n), [([j], [1.0 / n]) for j in np.arange(n) ^ 1])
+    u = np.where(np.arange(n) % 2, -0.0, 0.0)
+    model = kuramoto_model(0.0, -0.0)
+    assert np.any(np.signbit(model.g(u[pairs.row_of_entry], u[pairs.indices])))
+    assert_bound_rhs_is_reference(pairs, model, u, reference_segment_rhs)
+
+
+def test_bound_generic_rhs_is_the_gather_reference():
+    model = ModelFunctions(f=lambda u, s: np.cos(u) + s, g=lambda u, v: np.tanh(v - 0.5 * u))
+    rng = np.random.Generator(np.random.Philox(54))
+    for sys in (sample_er(23, 0.5, 55), empty_row_system(), LARGE_SYSTEMS["isolated_nodes"]()):
+        assert_bound_rhs_is_reference(sys, model, rng.uniform(-20.0, 20.0, sys.n), reference_rhs)
+
+
+def test_bound_large_kuramoto_rhs_is_the_segment_reference():
+    rng = np.random.Generator(np.random.Philox(56))
+    for name in ("isolated_nodes", "torus", "er200"):
+        sys = LARGE_SYSTEMS[name]()
+        assert sys.indices.size >= _SEGMENT_NNZ
+        for omega, alpha in ((0.7, 1.0), (0.0, -2.5), (0.0, 0.0)):
+            u = rng.uniform(-20.0, 20.0, sys.n)
+            assert_bound_rhs_is_reference(sys, kuramoto_model(omega, alpha), u,
+                                          reference_segment_rhs)
+
+
+def test_bound_rhs_belongs_to_its_own_system():
+    # two systems of one size under one model object, bound and called in turn
+    model = kuramoto_model(0.3, 0.4)
+    rng = np.random.Generator(np.random.Philox(60))
+    for a, b, reference in ((sample_er(20, 0.5, 57), sample_er(20, 0.5, 58), reference_rhs),
+                            (sample_er(200, 0.3, 5), sample_er(200, 0.3, 59),
+                             reference_segment_rhs)):
+        assert a.n == b.n and not np.array_equal(a.dense(), b.dense())
+        u = rng.uniform(0, 2 * np.pi, a.n)
+        fa, fb = _rhs_fn(a, model), _rhs_fn(b, model)
+        for sys, fn in ((a, fa), (b, fb), (a, fa)):
+            assert same_bits(fn(u), reference(sys, model, u))
+            assert same_bits(rhs(sys, model, u), reference(sys, model, u))
+        for sys in (a, b, a):
+            traj = integrate(sys, model, u, 0.05, 1e-2)
+            want = textbook_rk4(lambda x: reference(sys, model, x), u, 0.05, 1e-2)
+            assert same_bits(traj.states, want)
+
+
+def test_rhs_is_the_first_rk4_stage_of_integrate(monkeypatch):
+    seen = []
+    core = dynamics._integrate_core
+
+    def spy(fn, y0, *args):
+        seen.append(fn(np.array(y0)))
+        return core(fn, y0, *args)
+
+    monkeypatch.setattr(dynamics, "_integrate_core", spy)
+    rng = np.random.Generator(np.random.Philox(61))
+    custom = ModelFunctions(f=lambda u, s: u + s, g=lambda u, v: np.sin(v - u))
+    for sys, model in ((sample_er(23, 0.5, 62), kuramoto_model(0.2, 0.3)),
+                       (LARGE_SYSTEMS["isolated_nodes"](), kuramoto_model(0.2, 0.3)),
+                       (sample_er(16, 0.5, 63), custom)):
+        u0 = rng.uniform(0, 2 * np.pi, sys.n)
+        integrate(sys, model, u0, 0.01, 1e-2)
+        assert same_bits(seen.pop(), rhs(sys, model, u0))
+
+
+def test_dirac_clouds_follow_the_gather_reference_bitwise():
+    sys = sample_er(23, 0.5, 64)
+    u0 = np.random.Generator(np.random.Philox(65)).uniform(0, 2 * np.pi, sys.n)
+    model = kuramoto_model(0.0, 0.0)
+    want = textbook_rk4(lambda u: reference_rhs(sys, model, u), u0, 0.5, 1e-2, 5)
+    traj = integrate_meanfield(sys, MeasureState(u0[:, None]), 0.5, 1e-2, sample_every=5)
+    assert same_bits(traj.states[:, :, 0].copy(), want)
+    assert same_bits(meanfield_rhs(sys, u0[:, None]), reference_rhs(sys, model, u0)[:, None])

@@ -51,6 +51,11 @@ def test_pullback_cyclic_shift():
     assert pullback(m, np.array([10.0, 20.0, 30.0])).tolist() == [20.0, 30.0, 10.0]
 
 
+def test_index_map_targets_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-D"):
+        IndexMap(np.array([[0, 1], [1, 0]]))
+
+
 def test_pullback_length_check():
     with pytest.raises(ValueError):
         pullback(identity_map(3), np.zeros(4))

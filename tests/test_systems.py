@@ -100,6 +100,19 @@ def test_system_rejects_negative_weights():
         CoupledSystem(space, np.array([0, 1, 2]), np.array([0, 1]), np.array([0.5, -0.1]))
 
 
+def test_system_rejects_repeated_or_unsorted_neighbors():
+    # a repeated neighbor would be summed by the dynamics but overwritten by dense()
+    space = uniform_space(2)
+    with pytest.raises(ValueError, match="strictly increase"):
+        from_rows(space, [([1, 1], [0.3, 0.2]), ([0], [0.5])])
+    with pytest.raises(ValueError, match="strictly increase"):
+        CoupledSystem(space, np.array([0, 2, 2]), np.array([1, 0]), np.array([0.2, 0.3]))
+    # a row may start below where the previous row ended, and rows may be empty
+    ok = CoupledSystem(uniform_space(3), np.array([0, 0, 2, 3]), np.array([1, 2, 0]),
+                       np.array([0.2, 0.3, 0.4]))
+    assert ok.dense().tolist() == [[0.0, 0.0, 0.0], [0.0, 0.2, 0.3], [0.4, 0.0, 0.0]]
+
+
 def test_system_json_round_trip():
     sys = path_system()
     back = CoupledSystem.from_json(sys.to_json())
