@@ -22,6 +22,11 @@ do not depend on the thread count. Pulling cos(u_i) and sin(u_i) out of the
 row sum would be cheaper still, but the product form keeps synchrony an
 exact fixed point (at u_j = u_i the two products are the same float) and
 keeps each pair term exactly antisymmetric when alpha = 0.
+
+That path walks the rows in blocks of whole rows of about
+``systems._BLOCK_ENTRIES`` entries, fixed at bind time, so its per-call
+temporaries stay cache-sized and come from the heap without page faults.
+A row is never split, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .systems import CoupledSystem
+from .systems import _BLOCK_ENTRIES, CoupledSystem
 
 
 @dataclass(frozen=True)
@@ -138,23 +143,40 @@ def _rhs_fn(system, model):
             return s
         return small
     ca, sa = np.cos(alpha), np.sin(alpha)
-    row_len = np.diff(system.indptr)  # np.repeat(x, row_len) == x[row_of_entry]
-    nonempty = row_len > 0
-    starts = system.indptr[:-1][nonempty]
+    blocks = []
+    for lo, hi in _row_blocks(system.indptr):
+        ptr = system.indptr[lo:hi + 1]
+        lens = np.diff(ptr)  # np.repeat(x[lo:hi], lens) == x[row_of_entry[ptr[0]:ptr[-1]]]
+        nonempty = np.flatnonzero(lens)
+        blocks.append((lo, hi, cols[ptr[0]:ptr[-1]], w[ptr[0]:ptr[-1]], lens, lo + nonempty,
+                       ptr[nonempty] - ptr[0]))
     def large(u):
         sin_u, cos_u = np.sin(u), np.cos(u)
         sin_a = sin_u * ca + cos_u * sa  # sin(u + alpha), error near eps at any |u|
         cos_a = cos_u * ca - sin_u * sa
-        pair = sin_a[cols]
-        pair *= np.repeat(cos_u, row_len)
-        cross = cos_a[cols]
-        cross *= np.repeat(sin_u, row_len)
-        pair -= cross
-        pair *= w
         s = np.zeros(n)  # reduceat gives an empty row the next entry, or fails past the end
-        s[nonempty] = np.add.reduceat(pair, starts)
+        for lo, hi, c, wb, lens, nonempty, starts in blocks:
+            pair = sin_a[c]
+            pair *= np.repeat(cos_u[lo:hi], lens)
+            cross = cos_a[c]
+            cross *= np.repeat(sin_u[lo:hi], lens)
+            pair -= cross
+            pair *= wb
+            s[nonempty] = np.add.reduceat(pair, starts)
         return omega + s  # a one-entry row may sum to -0.0, so omega = 0 is still added
     return large
+
+
+def _row_blocks(indptr):
+    """(lo, hi) row ranges of about ``_BLOCK_ENTRIES`` entries each, every row whole.
+
+    A row longer than that is a block of its own; a block may end in empty rows."""
+    n, edges = indptr.size - 1, [0]
+    while edges[-1] < n:
+        lo = edges[-1]
+        hi = int(np.searchsorted(indptr, indptr[lo] + _BLOCK_ENTRIES, side="right")) - 1
+        edges.append(max(hi, lo + 1))
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _rk4_step(fn, y, h, out, scratch):

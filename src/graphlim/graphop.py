@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateFiberError
 from .kernels import _unit_symmetric
 from .space import IndexSpace
-from .systems import CoupledSystem, _from_row_blocks, from_rows
+from .systems import CoupledSystem, _from_row_blocks
 
 
 def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> CoupledSystem:
@@ -60,20 +60,20 @@ def spherical_graphop(space: IndexSpace, band_halfwidth: float | None = None,
         raise ValueError("band_halfwidth must be positive")
     coords = space.coords
     mu = space.weights
-    rows = []
-    empty = []
+    counts = np.zeros(space.n + 1, dtype=np.int64)
+    indices, weights, empty = [], [], []
     for i in range(space.n):
-        dots = coords @ coords[i]
-        keep = np.nonzero(np.abs(dots) <= eps)[0]
+        keep = np.flatnonzero(np.abs(coords @ coords[i]) <= eps)  # ascending, as CSR rows are
         if keep.size == 0:
             empty.append(i)
-            rows.append((keep, np.zeros(0)))
             continue
         masses = mu[keep]
-        masses = masses / math.fsum(masses.tolist())
-        rows.append((keep, masses))
+        indices.append(keep)
+        weights.append(masses / math.fsum(masses.tolist()))
+        counts[i + 1] = keep.size
     if empty:
         raise DegenerateFiberError(
             f"band halfwidth {eps} leaves {len(empty)} empty fibers", nodes=empty
         )
-    return from_rows(space, rows, label=label, fiber_normalization="probability")
+    return CoupledSystem(space, np.cumsum(counts), np.concatenate(indices),
+                         np.concatenate(weights), label=label, fiber_normalization="probability")

@@ -59,7 +59,16 @@ def permutation_map(targets) -> IndexMap:
     return m
 
 
+def _check_index(value: int, size: int, what: str) -> None:
+    """Reject ``value`` outside [0, size): numpy would wrap a negative one."""
+    if not 0 <= value < size:
+        raise ValueError(f"{what} {value} is out of range [0, {size})")
+
+
 def swap_map(n: int, i: int, j: int) -> IndexMap:
+    """Transposition of nodes i and j, both in [0, n)."""
+    _check_index(i, n, "swap index i")
+    _check_index(j, n, "swap index j")
     t = np.arange(n)
     t[i], t[j] = t[j], t[i]
     return IndexMap(t)
@@ -96,10 +105,11 @@ def grid_shift_map(space: IndexSpace, steps) -> IndexMap:
 
 
 def torus_flip_map(space: IndexSpace, axis: int) -> IndexMap:
-    """Coordinate sign flip x_axis -> -x_axis on a torus grid."""
+    """Coordinate sign flip x_axis -> -x_axis on a torus grid, axis in [0, dim)."""
     if space.geometry != "torus":
         raise ValueError("flip map needs a torus grid")
     res = np.array(space.resolution)
+    _check_index(axis, res.size, "flip axis")
     idx = _grid_indices(space).copy()
     idx[:, axis] = (res[axis] - idx[:, axis]) % res[axis]
     return IndexMap(np.ravel_multi_index(idx.T, tuple(res)))

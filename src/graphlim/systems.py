@@ -171,21 +171,22 @@ def disjoint_union(systems) -> tuple[CoupledSystem, np.ndarray]:
 def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
     """CSR system from the dense masses ``row_block(lo, hi)`` of rows lo..hi-1, asked in order.
 
-    Exact zeros are dropped; np.nonzero's row-major order sorts each row by neighbor.
+    Rows come in blocks of about ``_BLOCK_ENTRIES`` dense entries. Exact zeros
+    are dropped; the flat row-major positions of the rest sort each row by neighbor.
     """
     n = space.n
     step = max(1, _BLOCK_ENTRIES // n)
-    counts = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     indices, weights = [], []
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        block = row_block(lo, hi)
-        r, c = np.nonzero(block)
-        counts[lo + 1:hi + 1] = np.bincount(r, minlength=hi - lo)
-        indices.append(c)
-        weights.append(block[r, c])
-    return CoupledSystem(space, np.cumsum(counts), np.concatenate(indices),
-                         np.concatenate(weights), label=label)
+        block = row_block(lo, hi).ravel()
+        flat = np.flatnonzero(block != 0)
+        indptr[lo + 1:hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * n)
+        indices.append(flat % n)
+        weights.append(block[flat])
+    return CoupledSystem(space, indptr, np.concatenate(indices), np.concatenate(weights),
+                         label=label)
 
 
 def discretize(kernel: Kernel, space: IndexSpace, label: str = "") -> CoupledSystem:
@@ -201,8 +202,11 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
 
     Edges are drawn independently with probability p using the Philox
     counter-based generator, so a given (n, p, seed) reproduces the exact
-    same adjacency on any platform. The upper triangle is drawn row by row in
-    blocks and kept as an edge list, so memory stays O(edges). No self-loops.
+    same adjacency on any platform. The upper triangle is drawn in row-major
+    order, in blocks of rows of about ``_BLOCK_ENTRIES`` pairs, and each hit
+    is mapped to its (row, col) by index arithmetic. The CSR arrays come from
+    the sorted edge keys row * n + col, so memory stays O(edges) and no dense
+    block is ever formed. No self-loops.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -210,26 +214,24 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
     step = max(1, _BLOCK_ENTRIES // n)
-    heads, tails = [], []
+    keys = []
     for lo in range(0, n, step):
-        r, c = np.nonzero(np.triu(np.ones((min(n, lo + step) - lo, n), dtype=bool), k=lo + 1))
-        hit = rng.random(r.size) < p
-        heads.append(r[hit] + lo)
-        tails.append(c[hit])
-    # both orientations of every edge, grouped by row
-    rows = np.concatenate(heads + tails)
-    cols = np.concatenate(tails + heads)
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
+        # pair (i, j), i < j, of rows lo..hi-1 is draw first[i - lo] + j - i - 1 of the block
+        i = np.arange(lo, min(n, lo + step))
+        first = np.concatenate([[0], np.cumsum(n - 1 - i)])
+        hit = np.flatnonzero(rng.random(first[-1]) < p)
+        r = np.searchsorted(first, hit, side="right") - 1
+        head = r + lo
+        tail = hit - first[r] + head + 1
+        keys += [head * n + tail, tail * n + head]  # both orientations of every edge
+    keys = np.concatenate(keys)
+    keys.sort()
     space = uniform_space(n)
-
-    def row_block(lo, hi):
-        a, b = np.searchsorted(rows, (lo, hi))
-        block = np.zeros((hi - lo, n))
-        block[rows[a:b] - lo, cols[a:b]] = 1.0
-        return block * space.weights
-
-    return _from_row_blocks(space, row_block, f"er(n={n},p={p},seed={seed})")
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    cols = keys % n
+    del keys  # before the validation temporaries of CoupledSystem: a lower peak
+    return CoupledSystem(space, indptr, cols, space.weights[cols],
+                         label=f"er(n={n},p={p},seed={seed})")
 
 
 def adjacency_matrix(system: CoupledSystem) -> np.ndarray:

@@ -169,6 +169,29 @@ def test_continuity_command(tmp_path):
     assert report["passed"] is True
 
 
+def test_map_indices_out_of_range_exit_2(tmp_path, capsys):
+    ghost = {
+        "command": "ghost", "n": 16, "p": 0.5, "seed": 3,
+        "u0": {"kind": "constant", "value": 1.0}, "t_end": 0.1, "step": 0.01,
+    }
+    audit = {
+        "command": "audit", "audit": "automorphism",
+        "space": {"geometry": "torus", "resolution": [6, 6]},
+        "kernel": {"variant": "geodesic", "delta": 0.2},
+    }
+    cases = [(dict(ghost, map={"type": "swap", "i": -1, "j": 0}), "swap index i -1"),
+             (dict(ghost, map={"type": "swap", "i": 0, "j": 99}), "swap index j 99"),
+             (dict(audit, map={"type": "torus_flip", "axis": -1}), "flip axis -1"),
+             (dict(audit, map={"type": "torus_flip", "axis": 5}), "flip axis 5")]
+    for k, (doc, message) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"].startswith(f"ValueError: {message} is out of range")
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_internal_error_exits_3(tmp_path, capsys):

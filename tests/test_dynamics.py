@@ -562,3 +562,66 @@ def test_dirac_clouds_follow_the_gather_reference_bitwise():
     traj = integrate_meanfield(sys, MeasureState(u0[:, None]), 0.5, 1e-2, sample_every=5)
     assert same_bits(traj.states[:, :, 0].copy(), want)
     assert same_bits(meanfield_rhs(sys, u0[:, None]), reference_rhs(sys, model, u0)[:, None])
+
+
+def row_length_system(lengths, seed):
+    """System whose row i holds ``lengths[i]`` random neighbors of mass 1/n each."""
+    n = len(lengths)
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = [(np.sort(rng.choice(n, k, replace=False)), np.full(k, 1 / n)) for k in lengths]
+    return from_rows(uniform_space(n), rows)
+
+
+def blocked_rhs_cases():
+    """Row layouts that put block edges on awkward rows at block sizes 7 and 64."""
+    rng = np.random.Generator(np.random.Philox(70))
+    ragged = [0, 0, 200, 3] + rng.integers(0, 13, 250).tolist() + [150, 0, 0, 0]
+    return {
+        # a row longer than a block; empty rows at the start and the end
+        "long_rows": ragged,
+        # empty rows on either side of four rows of 16: at size 64 the first block
+        # starts with an empty row and every block ends with empty rows
+        "empty_edges": [0, 16, 16, 16, 16, 0, 0] * 24 + [0, 0],
+        # nnz = 1792 = 28 * 64 = 256 * 7; rows of 8 fill blocks of 64 exactly
+        "exact_multiple": [8] * 224,
+        "one_entry_rows": [1] * (2 * _SEGMENT_NNZ),
+    }
+
+
+def test_row_blocks_hold_whole_rows(monkeypatch):
+    for size in (7, 64):
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", size)
+        for name, lengths in blocked_rhs_cases().items():
+            indptr = np.concatenate([[0], np.cumsum(lengths)])
+            blocks = dynamics._row_blocks(indptr)
+            edges = [lo for lo, _ in blocks] + [blocks[-1][1]]
+            assert edges == sorted(set(edges)) and edges[0] == 0 and edges[-1] == len(lengths)
+            for lo, hi in blocks:
+                entries = indptr[hi] - indptr[lo]
+                assert entries <= size or hi == lo + 1, (name, size, lo, hi)
+                # greedy: the next row would not have fit
+                assert hi == len(lengths) or entries + lengths[hi] > size, (name, size, lo, hi)
+            if name == "empty_edges" and size == 64:  # a block opens on empty rows, all close so
+                assert lengths[0] == 0 and all(lengths[hi - 1] == 0 for _, hi in blocks)
+    rows_of_8 = np.arange(0, 8 * 56 + 1, 8)
+    assert dynamics._row_blocks(rows_of_8) == [(lo, lo + 8) for lo in range(0, 56, 8)]
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7)
+    assert dynamics._row_blocks(rows_of_8) == [(lo, lo + 1) for lo in range(56)]
+
+
+@pytest.mark.parametrize("size", [7, 64])
+@pytest.mark.parametrize("name", sorted(blocked_rhs_cases()))
+def test_blocked_rhs_is_the_segment_reference_bitwise(monkeypatch, size, name):
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", size)
+    sys = row_length_system(blocked_rhs_cases()[name], 71)
+    assert sys.indices.size >= _SEGMENT_NNZ
+    assert len(dynamics._row_blocks(sys.indptr)) > 1
+    rng = np.random.Generator(np.random.Philox(72))
+    for omega in (0.0, 0.7):
+        for alpha in (0.0, 0.3):
+            model = kuramoto_model(omega, alpha)
+            u = rng.uniform(-20.0, 20.0, sys.n)
+            assert_bound_rhs_is_reference(sys, model, u, reference_segment_rhs)
+            traj = integrate(sys, model, u, 0.03, 1e-2)
+            want = textbook_rk4(lambda x: reference_segment_rhs(sys, model, x), u, 0.03, 1e-2)
+            assert same_bits(traj.states, want), (name, size, omega, alpha)

@@ -185,6 +185,18 @@ def test_equivariance_audit_detects_asymmetry():
     assert dev >= 1e-3
 
 
+def test_map_indices_out_of_range_are_rejected():
+    # numpy would wrap i = -1 to node n-1 and axis = -1 to the last axis
+    for i, j, bad in ((-1, 0, "i -1"), (0, -4, "j -4"), (4, 0, "i 4"), (0, 99, "j 99")):
+        with pytest.raises(ValueError, match=f"swap index {bad} is out of range"):
+            swap_map(4, i, j)
+    assert swap_map(4, 3, 0).targets.tolist() == [3, 1, 2, 0]
+    space = make_grid_space("torus", (6, 6))
+    for axis in (-1, -2, 2, 5):
+        with pytest.raises(ValueError, match=f"flip axis {axis} is out of range"):
+            torus_flip_map(space, axis)
+
+
 def test_torus_maps_are_permutations():
     space = make_grid_space("torus", (6, 6))
     for m in (grid_shift_map(space, (1, 0)), grid_shift_map(space, (2, 5)),

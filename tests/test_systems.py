@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from graphlim import (
     discretize,
     from_rows,
     geodesic_kernel,
+    graphop_from_weighted,
     make_finite_space,
     make_grid_space,
     sample_er,
+    spherical_graphop,
     uniform_space,
 )
+from graphlim import graphop
+from graphlim.systems import _BLOCK_ENTRIES
 
 
 def path_system():
@@ -165,9 +170,10 @@ def reference_sample_er(n, p, seed):
 
 
 def assert_same_csr(got, want):
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.weights, want.weights)
+    """Byte equality of the CSR arrays: array_equal would take -0.0 for +0.0."""
+    for name in ("indptr", "indices", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def _symmetric(n, seed):
@@ -201,3 +207,110 @@ def test_discretize_matches_row_reference(kernel, space):
                                         (16, 0.5, 7), (300, 0.1, 5)])
 def test_sample_er_matches_dense_reference(n, p, seed):
     assert_same_csr(sample_er(n, p, seed), reference_sample_er(n, p, seed))
+
+
+# The builders as they stood before the flat-mask rewrite: a 2-D np.nonzero
+# per dense row block, ER hits re-blocked densely, spherical fibers through
+# from_rows. The current builders must reproduce their CSR arrays byte for byte.
+
+def blocked_reference_from_row_blocks(space, row_block):
+    n = space.n
+    step = max(1, _BLOCK_ENTRIES // n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    indices, weights = [], []
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        block = row_block(lo, hi)
+        r, c = np.nonzero(block)
+        counts[lo + 1:hi + 1] = np.bincount(r, minlength=hi - lo)
+        indices.append(c)
+        weights.append(block[r, c])
+    return CoupledSystem(space, np.cumsum(counts), np.concatenate(indices),
+                         np.concatenate(weights))
+
+
+def blocked_reference_sample_er(n, p, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    step = max(1, _BLOCK_ENTRIES // n)
+    heads, tails = [], []
+    for lo in range(0, n, step):
+        r, c = np.nonzero(np.triu(np.ones((min(n, lo + step) - lo, n), dtype=bool), k=lo + 1))
+        hit = rng.random(r.size) < p
+        heads.append(r[hit] + lo)
+        tails.append(c[hit])
+    rows = np.concatenate(heads + tails)
+    cols = np.concatenate(tails + heads)
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    space = uniform_space(n)
+
+    def row_block(lo, hi):
+        a, b = np.searchsorted(rows, (lo, hi))
+        block = np.zeros((hi - lo, n))
+        block[rows[a:b] - lo, cols[a:b]] = 1.0
+        return block * space.weights
+
+    return blocked_reference_from_row_blocks(space, row_block)
+
+
+def reference_spherical_graphop(space):
+    eps = 1.5 * graphop._max_grid_spacing(space)
+    rows = []
+    for i in range(space.n):
+        keep = np.nonzero(np.abs(space.coords @ space.coords[i]) <= eps)[0]
+        masses = space.weights[keep]
+        rows.append((keep, masses / math.fsum(masses.tolist())))
+    return from_rows(space, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 23, 400])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_sample_er_is_the_blocked_reference_bytewise(n, p, seed):
+    assert_same_csr(sample_er(n, p, seed), blocked_reference_sample_er(n, p, seed))
+
+
+@pytest.mark.parametrize("kernel, space", [
+    (geodesic_kernel("interval", 0.25), make_grid_space("interval", (300,))),
+    (geodesic_kernel("torus", 0.15, dim=2), make_grid_space("torus", (30, 30))),
+    (geodesic_kernel("sphere2", math.pi / 2), make_grid_space("sphere2", (468,),
+                                                              symmetry_order=12)),
+    (BlockKernel([0, 0.3, 0.5, 1], [[1, 0, 0.5], [0, 0, 1], [0.5, 1, 0]]),
+     make_grid_space("interval", (97,))),
+    (MatrixKernel(_symmetric(40, 5)), make_finite_space(np.arange(1, 41) / 820)),
+], ids=["interval", "torus", "sphere", "block", "matrix"])
+def test_discretize_is_the_blocked_reference_bytewise(kernel, space):
+    mu = space.weights
+    want = blocked_reference_from_row_blocks(space,
+                                             lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu)
+    assert want.indices.size < space.n ** 2  # the kernel's exact zeros are dropped
+    assert_same_csr(discretize(kernel, space), want)
+
+
+def test_graphop_from_weighted_is_the_blocked_reference_bytewise():
+    for n, seed in ((9, 6), (250, 7)):
+        values, space = _symmetric(n, seed), make_finite_space(np.arange(1, n + 1))
+        want = blocked_reference_from_row_blocks(space,
+                                                 lambda lo, hi: values[lo:hi] * space.weights)
+        assert_same_csr(graphop_from_weighted(values, space), want)
+
+
+def test_spherical_graphop_is_the_row_reference_bytewise():
+    space = make_grid_space("sphere2", (468,), symmetry_order=12)
+    got, want = spherical_graphop(space), reference_spherical_graphop(space)
+    assert_same_csr(got, want)
+    assert got.fiber_normalization == "probability"
+
+
+def test_sample_er_peak_memory_is_linear_in_nnz():
+    # ER n = 2000, p = 0.1: about 400k entries. The CSR arrays the system
+    # keeps (indices, weights, the cached row of every entry) are 3 x nnz x 8
+    # bytes; the dense re-blocking build peaked above 12 x nnz x 8.
+    for seed in (1, 2):
+        tracemalloc.start()
+        try:
+            sys = sample_er(2000, 0.1, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
