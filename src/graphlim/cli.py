@@ -38,14 +38,22 @@ from .kernels import kernel_from_spec
 from .meanfield import MeasureState, integrate_meanfield
 from .norms import inf_to_one_norm_exact, inf_to_one_norm_lower
 from .space import IndexSpace, make_finite_space, make_grid_space
-from .symmetry import ClusterSubspace, FixedPointSubspace, ImageSubspace, IndexMap, \
-    _equivariance_series, _invariance_series, check_automorphism, grid_shift_map, \
+from .symmetry import VERDICTS, ClusterSubspace, FixedPointSubspace, ImageSubspace, \
+    IndexMap, _equivariance_series, _invariance_series, check_automorphism, grid_shift_map, \
     identity_map, interval_reflection_map, permutation_map, scaling_map, \
     sphere_reflection_map, sphere_rotation_map, swap_map, torus_flip_map, \
     torus_rotation_map
 from .systems import discretize, sample_er
 
 _NUMBER = (int, float)
+
+
+def _tolerance(cfg, field, default):
+    """``cfg[field]`` as a finite nonnegative number; JSON also decodes NaN and Infinity."""
+    value = _get(cfg, field, _NUMBER, default)
+    if value is not None and not 0 <= value <= sys.float_info.max:  # False for NaN
+        raise ConfigError(field, f"expected a finite nonnegative number, got {value!r}")
+    return value
 
 
 def _build_space(cfg, field="space") -> IndexSpace:
@@ -173,7 +181,7 @@ def _run_twisted(cfg, out):
     space = make_grid_space("torus", _get(cfg, "resolution", list))
     q = _get(cfg, "q", list)
     delta = _get(cfg, "delta", _NUMBER)
-    tolerance = _get(cfg, "tolerance", _NUMBER, 1e-12)
+    tolerance = _tolerance(cfg, "tolerance", 1e-12)
     residual = twisted_residual(space, delta, q)
     return _write_report(out, ExperimentReport.from_series(
         "twisted", {"resolution": space.resolution, "delta": delta, "q": q,
@@ -218,8 +226,11 @@ def _run_audit(cfg, out):
     kind = _get(cfg, "audit", str)
     if kind == "automorphism":
         imap = _build_map(cfg, system.space)
-        tol = _get(cfg, "tol", _NUMBER, 1e-12)
+        tol = _tolerance(cfg, "tol", 1e-12)
         expect = _get(cfg, "expect", str, None)
+        if expect is not None and expect not in VERDICTS:
+            raise ConfigError("expect", f"unknown verdict {expect!r}; expected one of "
+                                        f"{list(VERDICTS)}")
         report = check_automorphism(system, imap, tol)
         (out / "report.json").write_text(report.to_json())
         return 0 if expect is None or report.verdict == expect else 1
@@ -231,7 +242,7 @@ def _run_audit(cfg, out):
         raise ConfigError("audit", f"unknown audit kind {kind!r}")
     model = _build_model(cfg)
     u0 = _build_state(cfg, system.space)
-    threshold = _get(cfg, "threshold", _NUMBER, None)
+    threshold = _tolerance(cfg, "threshold", None)
     t_end, step, sample_every = _span(cfg)
     times, measured = series(system, model, target, u0, t_end, step, sample_every)
     return _write_report(out, ExperimentReport.from_series(

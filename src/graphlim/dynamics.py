@@ -124,7 +124,7 @@ def _rhs_fn(system, model):
     """The derivative u -> du of ``model`` on ``system``, everything but u bound once.
 
     Skipping a zero alpha or omega changes only a -0.0, which no row sum from +0.0 sees."""
-    rows, cols, w, n = system.row_of_entry, system.indices, system.weights, system.n
+    rows, cols, w, n = system._bincount_args()[0], system.indices, system.weights, system.n
     if not isinstance(model, KuramotoModel):
         return lambda u: model.f(u, np.bincount(rows, weights=w * model.g(u[rows], u[cols]),
                                                 minlength=n))

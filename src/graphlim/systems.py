@@ -47,6 +47,7 @@ class CoupledSystem:
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        self.__dict__["_bincount_weights"] = weights.view()  # made before the freeze below
         for name, arr in (("indptr", indptr), ("indices", indices), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -78,16 +79,27 @@ class CoupledSystem:
         cached = self.__dict__.get("_row_of_entry")
         if cached is None:
             cached = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+            self.__dict__["_bincount_rows"] = cached.view()
             cached.setflags(write=False)
             self.__dict__["_row_of_entry"] = cached
         return cached
+
+    def _bincount_args(self):
+        """Views of ``row_of_entry`` and ``weights`` taken before the freeze; never written to.
+
+        ``np.bincount`` copies a read-only input: 2 x nnz x 8 bytes per row sum.
+        The views are writable unless the arrays came in read-only.
+        """
+        self.row_of_entry
+        return self.__dict__["_bincount_rows"], self.__dict__["_bincount_weights"]
 
     def row(self, i: int):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
     def row_sums(self) -> np.ndarray:
-        return np.bincount(self.row_of_entry, weights=self.weights, minlength=self.n)
+        rows, weights = self._bincount_args()
+        return np.bincount(rows, weights=weights, minlength=self.n)
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))

@@ -113,6 +113,52 @@ def test_audit_automorphism_expectation(tmp_path):
     assert main(["run", bad, "--out", str(tmp_path / "o2")]) == 1
 
 
+def test_bad_tolerances_and_verdicts_are_config_errors(tmp_path, capsys):
+    # JSON decodes NaN; a negative or NaN tolerance would fail every comparison (exit 1)
+    automorphism = {
+        "command": "audit", "audit": "automorphism",
+        "space": {"geometry": "interval", "resolution": [6]},
+        "kernel": {"variant": "constant", "value": 0.5},
+        "map": {"type": "interval_reflection"},
+    }
+    equivariance = {
+        "command": "audit", "audit": "equivariance",
+        "er": {"n": 12, "p": 0.5, "seed": 3},
+        "map": {"type": "swap", "i": 0, "j": 1},
+        "u0": {"kind": "random_uniform", "seed": 2},
+        "t_end": 0.1, "step": 0.01,
+    }
+    twisted = {"command": "twisted", "resolution": [6, 6], "delta": 0.2, "q": [1, 1]}
+    cases = [
+        (dict(automorphism, tol=-1), "tol", "expected a finite nonnegative number, got -1"),
+        (dict(automorphism, tol=float("nan")), "tol",
+         "expected a finite nonnegative number, got nan"),
+        (dict(automorphism, tol=float("inf")), "tol",
+         "expected a finite nonnegative number, got inf"),
+        (dict(equivariance, threshold=-1), "threshold",
+         "expected a finite nonnegative number, got -1"),
+        (dict(equivariance, threshold=float("nan")), "threshold",
+         "expected a finite nonnegative number, got nan"),
+        (dict(automorphism, tol=10 ** 400), "tol",
+         f"expected a finite nonnegative number, got {10 ** 400!r}"),
+        (dict(twisted, tolerance=-1e-12), "tolerance",
+         "expected a finite nonnegative number, got -1e-12"),
+        (dict(automorphism, expect="graphon"), "expect",
+         "unknown verdict 'graphon'; expected one of ['graphon_automorphism', "
+         "'graphop_automorphism', 'measure_preserving_only', 'neither']"),
+    ]
+    for k, (doc, field, message) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2, doc
+        assert repr(field) in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"] == f"ConfigError: field {field!r}: {message}"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    ok = dict(automorphism, tol=0, expect="measure_preserving_only")
+    assert main(["run", write_config(tmp_path, ok), "--out", str(tmp_path / "ok")]) == 1
+
+
 def test_audit_equivariance_threshold(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "audit", "audit": "equivariance",

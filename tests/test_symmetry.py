@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphlim import (
+    AutomorphismReport,
     ClusterSubspace,
     ConstantKernel,
     FixedPointSubspace,
@@ -14,6 +16,8 @@ from graphlim import (
     check_automorphism,
     discretize,
     equivariance_audit,
+    from_rows,
+    geodesic_kernel,
     grid_shift_map,
     identity_map,
     interval_reflection_map,
@@ -27,12 +31,16 @@ from graphlim import (
     pullback,
     sample_er,
     scaling_map,
+    sphere_reflection_map,
+    sphere_rotation_map,
+    spherical_graphop,
     subspace_distance,
     swap_map,
     torus_flip_map,
     torus_rotation_map,
     uniform_space,
 )
+from graphlim import symmetry
 
 
 def test_pullback_identity():
@@ -118,6 +126,143 @@ def test_report_json():
     doc = json.loads(check_automorphism(sys, identity_map(4), 1e-12).to_json())
     assert doc["verdict"] == "graphon_automorphism"
     assert doc["mass_discrepancy"] == 0.0
+
+
+def test_check_automorphism_rejects_bad_tolerances():
+    sys = discretize(ConstantKernel(0.5), uniform_space(4))
+    for tol in (-1.0, -1e-300, float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_automorphism(sys, identity_map(4), tol)
+    assert check_automorphism(sys, identity_map(4), 0).verdict == "graphon_automorphism"
+
+
+def reference_check_automorphism(system, imap, tol):
+    """The dense row-by-row comparison: two length-n scratch rows per node."""
+    n = system.n
+    t = imap.targets
+    mu = system.space.weights
+
+    push = np.bincount(t, weights=mu, minlength=n)
+    mass_disc = float(np.max(np.abs(push - mu)))
+    mp_ok = mass_disc <= tol
+
+    adj_disc = 0.0
+    fib_disc = 0.0
+    row_i = np.zeros(n)
+    row_p = np.zeros(n)
+    for i in range(n):
+        idx, w = system.row(i)
+        pidx, pw = system.row(int(t[i]))
+
+        row_i[:] = 0.0
+        row_p[:] = 0.0
+        row_i[idx] = w / mu[idx]
+        row_p[pidx] = pw / mu[pidx]
+        adj_disc = max(adj_disc, float(np.max(np.abs(row_p[t] - row_i))))
+
+        push_row = np.bincount(t[idx], weights=w, minlength=n)
+        row_p[:] = 0.0
+        row_p[pidx] = pw
+        fib_disc = max(fib_disc, float(np.max(np.abs(push_row - row_p))))
+    adj_ok = adj_disc <= tol
+    fib_ok = fib_disc <= tol
+
+    inv = imap.invertible
+    if inv and mp_ok and adj_ok:
+        verdict = "graphon_automorphism"
+    elif inv and fib_ok:
+        verdict = "graphop_automorphism"
+    elif mp_ok:
+        verdict = "measure_preserving_only"
+    else:
+        verdict = "neither"
+    return AutomorphismReport(inv, mp_ok, mass_disc, adj_ok, adj_disc,
+                              fib_ok, fib_disc, verdict)
+
+
+def random_rows_system(rng, space, empty=()):
+    """Asymmetric random rows with row mass below one; rows in ``empty`` have no entries."""
+    n = space.n
+    rows = []
+    for i in range(n):
+        size = 0 if i in empty else int(rng.integers(0, n + 1))
+        cols = rng.choice(n, size=size, replace=False)
+        rows.append((cols, rng.uniform(0.0, 1.0, size) / max(1, size)))
+    return from_rows(space, rows)
+
+
+def automorphism_cases():
+    """(system, map) pairs: permutations and non-invertible maps on kernel and fiber systems."""
+    rng = np.random.Generator(np.random.Philox(41))
+    torus = make_grid_space("torus", (9, 7))
+    sphere = make_grid_space("sphere2", (96,), symmetry_order=4)
+    interval = make_grid_space("interval", (10,))
+    kernel_torus = discretize(geodesic_kernel("torus", 0.25, dim=2), torus)
+    kernel_sphere = discretize(geodesic_kernel("sphere2", np.pi / 3), sphere)
+    fiber = spherical_graphop(sphere)
+    er = sample_er(40, 0.3, 5)
+    sparse = rng.uniform(0, 1, (12, 12)) * (rng.random((12, 12)) < 0.6)
+    # w_ij = W(x_i, x_j) mu_j is asymmetric on unequal masses
+    asym = discretize(MatrixKernel(np.maximum(sparse, sparse.T)),
+                      make_finite_space(rng.uniform(0.5, 1.5, 12)))
+    cases = [
+        (kernel_torus, grid_shift_map(torus, (2, 5))),
+        (kernel_torus, torus_flip_map(torus, 0)),
+        (kernel_torus, torus_flip_map(torus, 1)),
+        (kernel_sphere, sphere_rotation_map(sphere, 1)),
+        (kernel_sphere, sphere_reflection_map(sphere)),
+        (fiber, sphere_rotation_map(sphere, 3)),
+        (fiber, sphere_reflection_map(sphere)),
+        (er, swap_map(40, 3, 17)),
+        (er, permutation_map(rng.permutation(40))),
+        (asym, permutation_map(rng.permutation(12))),
+        (discretize(ConstantKernel(0.7), interval), scaling_map(interval, 2)),
+        (discretize(ConstantKernel(0.7), interval), interval_reflection_map(interval)),
+        (kernel_torus, scaling_map(torus, 3)),
+        (fiber, scaling_map(sphere, 2)),
+        (er, IndexMap(np.full(40, 7))),
+        (asym, IndexMap(np.full(12, 0))),
+    ]
+    for _ in range(4):
+        cases.append((er, IndexMap(rng.integers(0, 40, 40))))
+        cases.append((asym, IndexMap(rng.integers(0, 12, 12))))
+        cases.append((fiber, IndexMap(rng.integers(0, sphere.n, sphere.n))))
+    for empty in ((0,), (4,), (10,), (0, 4, 5, 10), tuple(range(11))):
+        sys = random_rows_system(rng, make_finite_space(rng.uniform(0.5, 1.5, 11)), empty)
+        cases.append((sys, permutation_map(rng.permutation(11))))
+        cases.append((sys, IndexMap(rng.integers(0, 11, 11))))
+        cases.append((sys, identity_map(11)))
+    one = from_rows(uniform_space(1), [([0], [0.5])])
+    cases += [(one, identity_map(1)), (from_rows(uniform_space(1), [([], [])]), identity_map(1))]
+    return cases
+
+
+@pytest.mark.parametrize("block", [7, 64, 1000, None])
+def test_check_automorphism_is_the_row_reference_bytewise(monkeypatch, block):
+    # 7 slots give one row per block; 64 give a few rows per block on the small
+    # systems and one row per block on the larger ones
+    if block is not None:
+        monkeypatch.setattr(symmetry, "_CHECK_ENTRIES", block)
+    for sys, imap in automorphism_cases():
+        for tol in (1e-12, 0.3):
+            want = reference_check_automorphism(sys, imap, tol).to_json()
+            assert check_automorphism(sys, imap, tol).to_json() == want, (sys.label, imap)
+
+
+def test_check_automorphism_memory_is_block_bounded():
+    space = make_grid_space("torus", (60, 60))
+    sys = discretize(geodesic_kernel("torus", 0.1, dim=2), space)
+    imap = grid_shift_map(space, (7, 31))
+    check_automorphism(sys, imap, 1e-12)
+    tracemalloc.start()
+    try:
+        report = check_automorphism(sys, imap, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "graphon_automorphism"
+    # the buffer is 8 bytes a slot; entries are 608,400, or 4.9 MB at 8 bytes each
+    assert peak <= 2 * 8 * symmetry._CHECK_ENTRIES, peak
 
 
 def test_project_fixed_reflection_orbits():

@@ -305,7 +305,8 @@ def test_spherical_graphop_is_the_row_reference_bytewise():
 def test_sample_er_peak_memory_is_linear_in_nnz():
     # ER n = 2000, p = 0.1: about 400k entries. The CSR arrays the system
     # keeps (indices, weights, the cached row of every entry) are 3 x nnz x 8
-    # bytes; the dense re-blocking build peaked above 12 x nnz x 8.
+    # bytes; the dense re-blocking build peaked above 12 x nnz x 8, and
+    # read-only copies inside the row-sum check added 2 x nnz x 8.
     for seed in (1, 2):
         tracemalloc.start()
         try:
@@ -313,4 +314,20 @@ def test_sample_er_peak_memory_is_linear_in_nnz():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
+        assert peak <= 4 * sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
+
+
+def test_row_sums_copy_no_entry_arrays():
+    # np.bincount copies read-only inputs; row_sums counts with writable aliases
+    for seed in (1, 2):
+        sys = sample_er(2000, 0.1, seed)
+        want = np.bincount(sys.row_of_entry, weights=sys.weights, minlength=sys.n)
+        tracemalloc.start()
+        try:
+            sums = sys.row_sums()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
+        assert np.array_equal(sums, want)
+        assert not (sys.weights.flags.writeable or sys.row_of_entry.flags.writeable)
