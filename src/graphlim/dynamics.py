@@ -96,10 +96,19 @@ class Trajectory:
 
     def to_csv(self, path):
         """CSV with header t,u_0,...,u_{n-1}; scalars keep full precision."""
-        with open(path, "w", newline="") as fh:  # "\r\n" row endings, as csv.writer
-            fh.write(",".join(["t"] + [f"u_{i}" for i in range(self.states.shape[1])]) + "\r\n")
-            for t, row in zip(self.times.tolist(), self.states):
-                fh.write(",".join(map(repr, [t] + row.tolist())) + "\r\n")
+        write_csv(path, ["t"] + [f"u_{i}" for i in range(self.states.shape[1])],
+                  ([t] + row.tolist() for t, row in zip(self.times.tolist(), self.states)))
+
+
+def write_csv(path, header, rows):
+    """CSV artifact: comma-joined header and rows, "\\r\\n" line ends as in ``csv.writer``.
+
+    Cells go through ``str``: a string is written as is, and a Python float as its
+    ``repr`` (the same text since Python 3.2), so it reads back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def rhs(system: CoupledSystem, model: ModelFunctions, state: np.ndarray) -> np.ndarray:
@@ -212,6 +221,9 @@ def _integrate_core(fn, y0, t_end, step, sample_every):
     The actual step is t_end / round(|t_end| / step): uniform, lands on
     t_end exactly, and is negative for backward runs.
     """
+    for name, value in (("t_end", t_end), ("step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if t_end == 0:

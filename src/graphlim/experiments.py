@@ -11,14 +11,13 @@ is recomputable from the emitted series and parameters.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _initial_state, kuramoto_model, integrate, rhs
+from .dynamics import _initial_state, integrate, kuramoto_model, rhs, write_csv
 from .kernels import Kernel, geodesic_kernel
 from .norms import EXACT_NORM_MAX_N, ghost_bound, gronwall_bound, inf_to_one_norm_exact, \
     inf_to_one_norm_lower, l1_distance
@@ -82,12 +81,11 @@ class ExperimentReport:
         return cls(name, parameters, times, measured, bound, comparison, passed, notes)
 
     def series_to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "measured", "bound"])
-            for k, t in enumerate(self.times):
-                b = "" if self.bound is None else repr(float(self.bound[k]))
-                writer.writerow([repr(float(t)), repr(float(self.measured[k])), b])
+        """CSV with header t,measured,bound; the bound cell is empty when there is none."""
+        times, measured, bound = (None if a is None else np.asarray(a, dtype=np.float64).tolist()
+                                  for a in (self.times, self.measured, self.bound))
+        write_csv(path, ["t", "measured", "bound"],
+                  zip(times, measured, bound or [""] * len(times)))
 
 
 def twisted_state(space: IndexSpace, q) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _integrate_core, _rhs_fn, kuramoto_model
+from .dynamics import _integrate_core, _rhs_fn, kuramoto_model, write_csv
 from .space import IndexSpace
 from .systems import CoupledSystem
 
@@ -86,13 +86,12 @@ class MeasureTrajectory:
     states: np.ndarray
 
     def to_csv(self, path):
-        """Long-format CSV with columns t,node,particle,value."""
+        """Long-format CSV t,node,particle,value; a frame's lines go as one prebuilt cell."""
         times = np.asarray(self.times, dtype=np.float64).tolist()
-        with open(path, "w", newline="") as fh:
-            fh.write("t,node,particle,value\r\n")  # csv.writer's row ending
-            for t, frame in zip(times, np.asarray(self.states, dtype=np.float64)):
-                fh.write("".join([f"{head}{p},{v!r}\r\n" for i, row in enumerate(frame.tolist())
-                                  for head in (f"{t!r},{i},",) for p, v in enumerate(row)]))
+        frames = ("\r\n".join([f"{head}{p},{v!r}" for i, row in enumerate(frame.tolist())
+                                for head in (f"{t!r},{i},",) for p, v in enumerate(row)])
+                  for t, frame in zip(times, np.asarray(self.states, dtype=np.float64)))
+        write_csv(path, ["t", "node", "particle", "value"], ((f,) for f in frames if f))
 
 
 def integrate_meanfield(system: CoupledSystem, mstate0, t_end: float,

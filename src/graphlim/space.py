@@ -9,7 +9,6 @@ immutable, so spaces can be shared freely.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,27 +88,6 @@ class IndexSpace:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
-
-    def to_json(self) -> str:
-        doc = {
-            "geometry": self.geometry,
-            "resolution": list(self.resolution),
-            "band_counts": list(self.band_counts),
-            "nodes": [[float(v) for v in row] for row in self.coords],
-            "weights": [float(w) for w in self.weights],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndexSpace":
-        doc = json.loads(text)
-        return cls(
-            geometry=doc["geometry"],
-            coords=np.array(doc["nodes"], dtype=np.float64),
-            weights=np.array(doc["weights"], dtype=np.float64),
-            resolution=tuple(doc.get("resolution", ())),
-            band_counts=tuple(doc.get("band_counts", ())),
-        )
 
 
 def make_finite_space(weights) -> IndexSpace:

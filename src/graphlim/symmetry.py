@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +22,27 @@ from .space import IndexSpace
 from .systems import CoupledSystem
 
 
+def _index_array(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array. A boolean or non-integral entry raises ValueError,
+    where a plain cast would read 1.7 and True as 1."""
+    a = np.asarray(values)
+    cells = () if isinstance(values, np.ndarray) else np.asarray(values, object).ravel().tolist()
+    with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, caught below
+        t = a.astype(np.int64, order="C") if a.dtype.kind in "iuf" else None
+    if t is None or not np.array_equal(t, a) or any(isinstance(v, bool) for v in cells):
+        raise ValueError(f"{what} must be integers, not booleans or fractions")
+    return t
+
+
 @dataclass(frozen=True)
 class IndexMap:
-    """Self-map of node indices: targets[i] = phi(i)."""
+    """Self-map of node indices: targets[i] = phi(i); ``invertible`` is set once."""
 
     targets: np.ndarray
+    invertible: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.targets, dtype=np.int64)
-        t.setflags(write=False)
+        t = _index_array(self.targets, "map targets")
         object.__setattr__(self, "targets", t)
         n = t.size
         if t.ndim != 1:
@@ -39,14 +51,12 @@ class IndexMap:
             raise ValueError("index map needs at least one node")
         if t.min() < 0 or t.max() >= n:
             raise ValueError("map targets out of range")
+        object.__setattr__(self, "invertible", bool(np.bincount(t, minlength=n).max() == 1))
+        t.setflags(write=False)  # after bincount, which would copy a read-only input
 
     @property
     def n(self) -> int:
         return self.targets.size
-
-    @property
-    def invertible(self) -> bool:
-        return np.unique(self.targets).size == self.n
 
 
 def identity_map(n: int) -> IndexMap:
@@ -54,7 +64,7 @@ def identity_map(n: int) -> IndexMap:
 
 
 def permutation_map(targets) -> IndexMap:
-    m = IndexMap(np.asarray(targets))
+    m = IndexMap(targets)
     if not m.invertible:
         raise ValueError("targets do not form a permutation")
     return m
@@ -98,7 +108,7 @@ def grid_shift_map(space: IndexSpace, steps) -> IndexMap:
     if space.geometry not in ("interval", "torus"):
         raise ValueError("shift map needs an interval or torus grid")
     res = np.array(space.resolution)
-    steps = np.atleast_1d(np.asarray(steps, dtype=np.int64))
+    steps = np.atleast_1d(_index_array(steps, "shift steps"))
     if steps.size != res.size:
         raise ValueError("steps must match the grid dimension")
     idx = (_grid_indices(space) + steps[None, :]) % res[None, :]
@@ -282,7 +292,7 @@ def check_automorphism(system: CoupledSystem, imap: IndexMap, tol: float) -> Aut
     adj_ok = adj_disc <= tol
     fib_ok = fib_disc <= tol
 
-    inv = bool(pre_cnt.max() == 1)
+    inv = imap.invertible
     if inv and mp_ok and adj_ok:
         verdict = "graphon_automorphism"
     elif inv and fib_ok:
@@ -387,7 +397,7 @@ def ImageSubspace(imap: IndexMap) -> PartitionSubspace:
 
 def ClusterSubspace(blocks) -> PartitionSubspace:
     """States constant on each prescribed node block; overlapping blocks merge."""
-    blocks = [np.asarray(b, dtype=np.int64).reshape(-1) for b in blocks]
+    blocks = [_index_array(b, "cluster blocks").reshape(-1) for b in blocks]
     nodes = np.concatenate([_NO_NODES] + blocks)
     heads = np.concatenate([_NO_NODES] + [np.repeat(b[:1], b.size) for b in blocks])
     if nodes.min(initial=0) < 0:

@@ -9,18 +9,14 @@ used by the dynamics.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
 from .kernels import Kernel
 from .space import IndexSpace, uniform_space
 
 _ROW_SUM_SLACK = 1e-9
-_DENSE_CSV_MAX = 2000
 # Dense entries per row block of a build: bounds its transient memory at any n.
 _BLOCK_ENTRIES = 1 << 15
 
@@ -106,41 +102,6 @@ class CoupledSystem:
         rows = self.row_of_entry
         m[rows, self.indices] = self.weights
         return m
-
-    def to_json(self) -> str:
-        rows = []
-        for i in range(self.n):
-            idx, w = self.row(i)
-            rows.append([[int(j), float(v)] for j, v in zip(idx, w)])
-        doc = {
-            "label": self.label,
-            "fiber_normalization": self.fiber_normalization,
-            "space": json.loads(self.space.to_json()),
-            "rows": rows,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoupledSystem":
-        doc = json.loads(text)
-        space = IndexSpace.from_json(json.dumps(doc["space"]))
-        rows = [
-            (np.array([e[0] for e in row], dtype=np.int64),
-             np.array([e[1] for e in row], dtype=np.float64))
-            for row in doc["rows"]
-        ]
-        return from_rows(space, rows, label=doc.get("label", ""),
-                         fiber_normalization=doc.get("fiber_normalization"))
-
-    def to_csv(self, path):
-        """Dense n x n weight matrix as CSV; refuses n > 2000."""
-        if self.n > _DENSE_CSV_MAX:
-            raise SizeLimitError(f"dense CSV export is limited to n <= {_DENSE_CSV_MAX}")
-        dense = self.dense()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in dense:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def from_rows(space: IndexSpace, rows, label: str = "",

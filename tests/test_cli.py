@@ -238,6 +238,55 @@ def test_map_indices_out_of_range_exit_2(tmp_path, capsys):
         assert manifest["error"].startswith(f"ValueError: {message} is out of range")
 
 
+def test_non_finite_span_exits_2(tmp_path, capsys):
+    simulate = {"command": "simulate", "space": {"geometry": "abstract", "weights": [0.5, 0.5]},
+                "kernel": {"variant": "constant", "value": 1.0}, "u0": [0.0, 1.0],
+                "t_end": 1.0, "step": 0.01}
+    meanfield = {"command": "meanfield", "space": {"geometry": "interval", "resolution": [3]},
+                 "kernel": {"variant": "constant", "value": 0.5},
+                 "particles": {"seed": 1, "count": 2}, "t_end": 1.0, "step": 0.01}
+    cases = [(dict(simulate, t_end=float("inf")), "t_end must be finite, got inf"),
+             (dict(simulate, step=float("nan")), "step must be finite, got nan"),
+             (dict(meanfield, t_end=float("-inf")), "t_end must be finite, got -inf")]
+    for k, (doc, message) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"] == f"ValueError: {message}"
+
+
+def test_non_integer_indices_exit_2(tmp_path, capsys):
+    # numpy's int cast would run [1, 0], a shift by [1, 0] and blocks [[0, 1], [2, 3]]
+    audit = {"command": "audit", "audit": "automorphism",
+             "space": {"geometry": "interval", "resolution": [4]},
+             "kernel": {"variant": "constant", "value": 0.5}}
+    invariance = {"command": "audit", "audit": "invariance",
+                  "space": {"geometry": "interval", "resolution": [4]},
+                  "kernel": {"variant": "constant", "value": 0.5},
+                  "u0": [1.0, 1.0, 2.0, 2.0], "t_end": 0.1, "step": 0.01}
+    torus = {"geometry": "torus", "resolution": [3, 3]}
+    cases = [(dict(audit, map={"type": "permutation", "targets": [1.7, 0.2, 2, 3]}),
+              "map targets"),
+             (dict(audit, map={"type": "permutation", "targets": [1, 0, True, 3]}),
+              "map targets"),
+             (dict(audit, space=torus, map={"type": "shift", "steps": [1.9, 0]}),
+              "shift steps"),
+             (dict(invariance, subspace={"type": "cluster", "blocks": [[0.6, 1.2], [2, 3]]}),
+              "cluster blocks")]
+    for k, (doc, what) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        message = f"{what} must be integers, not booleans or fractions"
+        assert message in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["error"] == \
+            f"ValueError: {message}"
+    ok = dict(audit, map={"type": "permutation", "targets": [1, 0, 3, 2]},
+              expect="graphon_automorphism")
+    assert main(["run", write_config(tmp_path, ok), "--out", str(tmp_path / "ok")]) == 0
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_internal_error_exits_3(tmp_path, capsys):

@@ -171,6 +171,18 @@ def test_integrate_validation():
         integrate(sys, kuramoto_model(), np.array([0.0, np.nan]), 1.0, 1e-3)
 
 
+def test_non_finite_span_is_a_value_error_naming_the_field():
+    # round(inf) would raise OverflowError and round(nan) a message about integers
+    sys, u0 = two_node_system(), np.array([0.0, 1.0])
+    for t_end, step, field in ((math.inf, 1e-2, "t_end"), (-math.inf, 1e-2, "t_end"),
+                               (math.nan, 1e-2, "t_end"), (1.0, math.nan, "step"),
+                               (1.0, math.inf, "step")):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got "):
+            integrate(sys, kuramoto_model(), u0, t_end, step)
+        with pytest.raises(ValueError, match=f"{field} must be finite, got "):
+            integrate_meanfield(sys, MeasureState(u0[:, None]), t_end, step)
+
+
 def test_integrate_flags_blowup_time():
     from graphlim import ModelFunctions
     model = ModelFunctions(f=lambda u, s: u * u, g=lambda u, v: 0.0 * v)

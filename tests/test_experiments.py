@@ -6,6 +6,7 @@ import pytest
 
 from graphlim import (
     ConstantKernel,
+    ExperimentReport,
     MatrixKernel,
     continuity_experiment,
     discretize,
@@ -185,6 +186,32 @@ def test_report_verdict_recomputable_from_series(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == len(rep.times)
     assert all(float(r[1]) <= float(r[2]) for r in rows)
+
+
+def test_series_csv_matches_csv_writer(tmp_path):
+    """series_to_csv writes the bytes csv.writer writes for rows of repr floats."""
+    import csv
+    u0 = np.random.Generator(np.random.Philox(12)).uniform(0, 2 * np.pi, 8)
+    bounded = continuity_experiment(uniform_space(8), ConstantKernel(0.9), ConstantKernel(0.2),
+                                    u0, u0, 0.5, 1e-2, sample_every=7)
+    informational = symmetry_drift_experiment(sample_er(10, 0.5, 4), swap_map(10, 0, 1),
+                                              u0[:2].repeat(5), t_end=0.3, step=1e-2)
+    assert bounded.bound is not None and informational.bound is None
+    times = np.array([-0.0, 1e-300, 0.1, 2.5e17, 1e300])
+    measured = np.array([5e-324, np.nan, np.inf, -np.inf, 0.1 + 0.2])
+    odd_bounded = ExperimentReport.from_series(
+        "odd", {}, times, measured, bound=np.array([np.inf, -0.0, 1e300, np.nan, 5e-324]))
+    odd_informational = ExperimentReport.from_series("odd", {}, times, measured)
+    for k, rep in enumerate((bounded, informational, odd_bounded, odd_informational)):
+        path, ref = tmp_path / f"s{k}.csv", tmp_path / f"r{k}.csv"
+        rep.series_to_csv(path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "measured", "bound"])
+            for i, t in enumerate(rep.times):
+                b = "" if rep.bound is None else repr(float(rep.bound[i]))
+                writer.writerow([repr(float(t)), repr(float(rep.measured[i])), b])
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_symmetry_drift_informational_run():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -100,18 +99,6 @@ def test_sphere_symmetry_order_divides_band_counts():
 def test_sphere_symmetry_order_must_divide_target():
     with pytest.raises(ValueError):
         make_grid_space("sphere2", (469,), symmetry_order=12)
-
-
-def test_space_json_round_trip_is_bit_exact():
-    for s in (make_finite_space([0.31, 0.42, 0.27]),
-              make_grid_space("sphere2", (50,)),
-              make_grid_space("torus", (7, 3))):
-        t = IndexSpace.from_json(s.to_json())
-        assert t.geometry == s.geometry
-        assert np.array_equal(t.coords, s.coords)
-        assert np.array_equal(t.weights, s.weights)
-        assert t.resolution == s.resolution
-        assert t.band_counts == s.band_counts
 
 
 def test_space_is_immutable():

@@ -64,6 +64,42 @@ def test_index_map_targets_must_be_one_dimensional():
         IndexMap(np.array([[0, 1], [1, 0]]))
 
 
+def test_index_lists_must_be_integers():
+    # a plain int64 cast reads 1.7 as 1 and True as 1
+    space = make_grid_space("torus", (3, 3))
+    bad = [(IndexMap, [1.7, 0.2], "map targets"), (IndexMap, [1, True], "map targets"),
+           (IndexMap, np.array([True, False]), "map targets"),
+           (IndexMap, np.array([0.0, np.nan]), "map targets"),
+           (permutation_map, [1, 0.5], "map targets"), (permutation_map, ["1", "0"], "map targets"),
+           (lambda s: grid_shift_map(space, s), [1.9, 0], "shift steps"),
+           (lambda s: grid_shift_map(space, s), [True, 0], "shift steps"),
+           (lambda s: grid_shift_map(space, s), [np.inf, 0], "shift steps"),
+           (lambda b: ClusterSubspace([b, [2, 3]]), [0.6, 1.2], "cluster blocks"),
+           (lambda b: ClusterSubspace([b, [2, 3]]), [0, False], "cluster blocks")]
+    for build, values, what in bad:
+        with pytest.raises(ValueError, match=f"{what} must be integers"):
+            build(values)
+    # integer lists, and floats with integer values, keep their meaning
+    assert permutation_map([1, 0, 2]).targets.tolist() == [1, 0, 2]
+    assert IndexMap(np.array([2.0, 2.0, 0.0])).targets.tolist() == [2, 2, 0]
+    assert grid_shift_map(space, [1, 0]).targets.tolist() == \
+        grid_shift_map(space, np.array([1.0, 0.0])).targets.tolist()
+    assert ClusterSubspace([[0, 1], [2, 3]]).labels.tolist() == [0, 0, 2, 2]
+
+
+def test_invertible_agrees_with_unique_counts():
+    rng = np.random.Generator(np.random.Philox(21))
+    seen = set()
+    for n in (1, 2, 3, 7, 50, 3600):
+        for targets in (rng.integers(0, n, n), rng.permutation(n),
+                        np.where(np.arange(n) == 0, n - 1, rng.permutation(n))):
+            m = IndexMap(targets)
+            assert m.invertible == (np.unique(targets).size == n), (n, targets)
+            seen.add(m.invertible)
+    assert seen == {True, False}
+    assert not IndexMap(np.array([0, 0])).targets.flags.writeable
+
+
 def test_pullback_length_check():
     with pytest.raises(ValueError):
         pullback(identity_map(3), np.zeros(4))

@@ -10,7 +10,6 @@ from graphlim import (
     CoupledSystem,
     CustomKernel,
     MatrixKernel,
-    SizeLimitError,
     adjacency_matrix,
     canonical_embedding,
     discretize,
@@ -116,30 +115,6 @@ def test_system_rejects_repeated_or_unsorted_neighbors():
     ok = CoupledSystem(uniform_space(3), np.array([0, 0, 2, 3]), np.array([1, 2, 0]),
                        np.array([0.2, 0.3, 0.4]))
     assert ok.dense().tolist() == [[0.0, 0.0, 0.0], [0.0, 0.2, 0.3], [0.4, 0.0, 0.0]]
-
-
-def test_system_json_round_trip():
-    sys = path_system()
-    back = CoupledSystem.from_json(sys.to_json())
-    assert np.array_equal(back.indptr, sys.indptr)
-    assert np.array_equal(back.indices, sys.indices)
-    assert np.array_equal(back.weights, sys.weights)
-    assert np.array_equal(back.space.weights, sys.space.weights)
-
-
-def test_dense_csv_export(tmp_path):
-    sys = path_system()
-    path = tmp_path / "m.csv"
-    sys.to_csv(path)
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    got = np.array([[float(v) for v in row] for row in rows])
-    assert np.array_equal(got, sys.dense())
-
-
-def test_dense_csv_size_guard(tmp_path):
-    big = discretize(ConstantKernel(0.0), uniform_space(2001))
-    with pytest.raises(SizeLimitError):
-        big.to_csv(tmp_path / "big.csv")
 
 
 def reference_discretize(kernel, space):
