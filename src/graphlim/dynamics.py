@@ -226,6 +226,8 @@ def _integrate_core(fn, y0, t_end, step, sample_every):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
+    if not np.isfinite(abs(t_end) / step):
+        raise ValueError(f"t_end / step must be finite, got {t_end!r} / {step!r}")
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     if sample_every < 1:

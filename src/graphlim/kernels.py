@@ -4,9 +4,11 @@ Variants: constant, block (piecewise constant on a partition of the unit
 interval, which covers embedded finite graphs), geodesic (indicator of
 geodesic distance <= delta on the circle, torus, or sphere), explicit
 matrix on an abstract space, and user-supplied evaluators. Kernels are
-immutable; ``evaluate`` is the pointwise contract and ``eval_rows`` the
-vectorized one used by discretization. ``kernel_from_spec`` is the one
-parser of kernel specs, behind both ``kernel_from_json`` and the CLI.
+immutable. Each defines W once, in ``_table``: points x (a, d) and y (b, d)
+give the (a, b) matrix of W(x_i, y_j). The pointwise ``evaluate``, the row
+blocks ``eval_rows`` that discretization reads, and ``matrix`` all read
+that one definition. ``kernel_from_spec`` is the one parser of kernel
+specs, behind both ``kernel_from_json`` and the CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError, config_field
-from .space import IndexSpace
+from .space import IndexSpace, _index_array
 
 
 def _unit_symmetric(values, what: str) -> np.ndarray:
@@ -33,25 +35,40 @@ def _unit_symmetric(values, what: str) -> np.ndarray:
 
 
 def _point_dim(geometry: str, dim: int | None, what: str) -> int:
-    """Coordinate count: 1 on the interval, 3 on the sphere, dim (default 2) on the torus."""
+    """Coordinate count: 1 on the interval, 3 on the sphere, dim (default 2) on the torus.
+
+    A ``dim`` below 1, or one the geometry contradicts, raises ConfigError naming ``dim``.
+    """
     if geometry not in ("interval", "torus", "sphere2"):
         raise ValueError(f"{what} does not support geometry {geometry!r}")
-    return {"interval": 1, "sphere2": 3}.get(geometry, 2 if dim is None else dim)
+    fixed = {"interval": 1, "sphere2": 3}.get(geometry)
+    if dim is not None and (dim < 1 or fixed not in (None, dim)):
+        raise ConfigError("dim", f"{what} on {geometry} needs dim {fixed or '>= 1'}, got {dim!r}")
+    return fixed or (2 if dim is None else dim)
 
 
 class Kernel:
-    """Base class; subclasses fix geometry compatibility and evaluation."""
+    """Base class; subclasses fix geometry compatibility and define W in ``_table``."""
 
     geometry: str | None = None  # None means any geometry
     dim: int | None = None
 
-    def evaluate(self, x, y) -> float:
+    def _table(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """W(x_i, y_j) for float points x (a, d) and y (b, d), as an (a, b) matrix."""
         raise NotImplementedError
 
+    def evaluate(self, x, y) -> float:
+        """W(x, y) for two points, each of shape (dim,) when the kernel fixes ``dim``."""
+        points = [np.asarray(p) for p in (x, y)]
+        if any(p.dtype.kind not in "iuf" for p in points):
+            raise ValueError("points must be real coordinates, not booleans")
+        if self.dim is not None and any(p.shape != (self.dim,) for p in points):
+            raise ValueError(f"points must have dimension {self.dim}")
+        return float(self._table(*(p.astype(np.float64).reshape(1, -1) for p in points))[0, 0])
+
     def eval_rows(self, space: IndexSpace, lo: int, hi: int) -> np.ndarray:
-        """Rows W(x_i, .) for lo <= i < hi; callers check the space, subclasses vectorize."""
-        c = space.coords
-        return np.array([[self.evaluate(c[i], y) for y in c] for i in range(lo, hi)])
+        """Rows W(x_i, .) for lo <= i < hi; callers check the space."""
+        return self._table(space.coords[lo:hi], space.coords)
 
     def matrix(self, space: IndexSpace) -> np.ndarray:
         self.check_space(space)
@@ -65,9 +82,6 @@ class Kernel:
         if self.dim is not None and space.dim != self.dim:
             raise ValueError(f"kernel expects dimension {self.dim}, space has {space.dim}")
 
-    def to_json(self) -> str:
-        raise ValueError(f"{type(self).__name__} does not serialize")
-
 
 class ConstantKernel(Kernel):
     """W(x, y) = c on any index space."""
@@ -78,20 +92,19 @@ class ConstantKernel(Kernel):
             raise ValueError("constant kernel value must lie in [0, 1]")
         self.value = value
 
-    def evaluate(self, x, y) -> float:
-        return self.value
-
-    def eval_rows(self, space, lo, hi):
-        return np.full((hi - lo, space.n), self.value)
-
-    def to_json(self):
-        return json.dumps({"variant": "constant", "value": self.value})
+    def _table(self, x, y):
+        return np.full((len(x), len(y)), self.value)
 
 
 class MatrixKernel(Kernel):
-    """Explicit symmetric values W[i, j] on an abstract n-point space."""
+    """Explicit symmetric values W[i, j] on an abstract n-point space.
+
+    Points are node indices: whole numbers in [0, n), as the coordinates of
+    :func:`~graphlim.space.make_finite_space` are.
+    """
 
     geometry = "abstract"
+    dim = 1
 
     def __init__(self, values):
         self.values = _unit_symmetric(values, "matrix kernel")
@@ -101,15 +114,12 @@ class MatrixKernel(Kernel):
         if space.n != self.values.shape[0]:
             raise ValueError("matrix kernel size does not match the space")
 
-    def evaluate(self, x, y) -> float:
-        return float(self.values[int(np.asarray(x).reshape(-1)[0]),
-                                 int(np.asarray(y).reshape(-1)[0])])
-
-    def eval_rows(self, space, lo, hi):
-        return self.values[lo:hi].copy()
-
-    def to_json(self):
-        return json.dumps({"variant": "matrix", "values": self.values.tolist()})
+    def _table(self, x, y):
+        n = self.values.shape[0]
+        i, j = (_index_array(p[:, 0], "matrix kernel points") for p in (x, y))
+        if not all(((p >= 0) & (p < n)).all() for p in (i, j)):
+            raise ValueError(f"matrix kernel points must be node indices in [0, {n})")
+        return self.values[np.ix_(i, j)]
 
 
 class BlockKernel(Kernel):
@@ -120,39 +130,25 @@ class BlockKernel(Kernel):
     """
 
     geometry = "interval"
+    dim = 1
 
     def __init__(self, boundaries, values):
         boundaries = np.asarray(boundaries, dtype=np.float64).reshape(-1)
         values = _unit_symmetric(values, "block matrix")
         k = boundaries.size - 1
         if k < 1 or boundaries[0] != 0.0 or boundaries[-1] != 1.0:
-            raise ValueError("boundaries must start at 0 and end at 1")
-        if np.any(np.diff(boundaries) <= 0):
-            raise ValueError("boundaries must be strictly increasing")
+            raise ConfigError("boundaries", "must start at 0 and end at 1")
+        if not np.all(np.diff(boundaries) > 0):  # also False for NaN
+            raise ConfigError("boundaries", "must be strictly increasing")
         if values.shape != (k, k):
             raise ValueError("block matrix shape must match the cell count")
         self.boundaries = boundaries
         self.values = values
 
-    def _cell(self, x) -> np.ndarray:
-        idx = np.searchsorted(self.boundaries, x, side="right") - 1
-        return np.clip(idx, 0, self.values.shape[0] - 1)
-
-    def evaluate(self, x, y) -> float:
-        cx = self._cell(float(np.asarray(x).reshape(-1)[0]))
-        cy = self._cell(float(np.asarray(y).reshape(-1)[0]))
-        return float(self.values[cx, cy])
-
-    def eval_rows(self, space, lo, hi):
-        cells = self._cell(space.coords[:, 0])
-        return self.values[np.ix_(cells[lo:hi], cells)]
-
-    def to_json(self):
-        return json.dumps({
-            "variant": "block",
-            "boundaries": self.boundaries.tolist(),
-            "values": self.values.tolist(),
-        })
+    def _table(self, x, y):
+        cells = [np.clip(np.searchsorted(self.boundaries, p[:, 0], side="right") - 1,
+                         0, self.values.shape[0] - 1) for p in (x, y)]
+        return self.values[np.ix_(*cells)]
 
 
 def circle_distance(a, b):
@@ -175,42 +171,21 @@ class GeodesicKernel(Kernel):
     _TIE_TOL = 1e-12
 
     def __init__(self, geometry: str, delta: float, dim: int | None = None):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not delta > 0:  # also False for NaN
+            raise ConfigError("delta", f"must be positive, got {delta!r}")
         self.dim = _point_dim(geometry, dim, "geodesic kernel")
         self.geometry = geometry
         self.delta = float(delta)
 
-    def _distance(self, x, y):
-        """Distances between points x (..., dim) and y (..., dim), broadcast."""
+    def _table(self, x, y):
+        x, y = x[:, None, :], y[None, :, :]
         if self.geometry == "sphere2":
-            dot = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-            return np.arccos(dot)
-        # max-metric folded one axis at a time: no (..., dim) temporary
-        d = circle_distance(x[..., 0], y[..., 0])
-        for k in range(1, self.dim):
-            d = np.maximum(d, circle_distance(x[..., k], y[..., k]))
-        return d
-
-    def evaluate(self, x, y) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise ValueError(f"points must have dimension {self.dim}")
-        d = self._distance(x, y)
-        return 1.0 if d <= self.delta + self._TIE_TOL else 0.0
-
-    def eval_rows(self, space, lo, hi):
-        d = self._distance(space.coords[lo:hi, None, :], space.coords[None, :, :])
+            d = np.arccos(np.clip(np.sum(x * y, axis=-1), -1.0, 1.0))
+        else:  # max-metric folded one axis at a time: no (a, b, dim) temporary
+            d = circle_distance(x[..., 0], y[..., 0])
+            for k in range(1, self.dim):
+                d = np.maximum(d, circle_distance(x[..., k], y[..., k]))
         return (d <= self.delta + self._TIE_TOL).astype(np.float64)
-
-    def to_json(self):
-        return json.dumps({
-            "variant": "geodesic",
-            "geometry": self.geometry,
-            "dim": self.dim,
-            "delta": self.delta,
-        })
 
 
 class CustomKernel(Kernel):
@@ -247,8 +222,8 @@ class CustomKernel(Kernel):
             if not -1e-12 <= a <= 1.0 + 1e-12:
                 raise ValueError("custom kernel value outside [0, 1]")
 
-    def evaluate(self, x, y) -> float:
-        return float(self.fn(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+    def _table(self, x, y):
+        return np.array([[float(self.fn(a, b)) for b in y] for a in x]).reshape(len(x), len(y))
 
 
 def canonical_embedding(adjacency) -> BlockKernel:

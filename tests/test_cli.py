@@ -257,6 +257,18 @@ def test_non_finite_span_exits_2(tmp_path, capsys):
         assert manifest["error"] == f"ValueError: {message}"
 
 
+def test_span_whose_step_count_overflows_exits_2(tmp_path, capsys):
+    doc = {"command": "simulate", "space": {"geometry": "abstract", "weights": [0.5, 0.5]},
+           "kernel": {"variant": "constant", "value": 1.0}, "u0": [0.0, 1.0],
+           "t_end": 1e300, "step": 1e-300}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "t_end / step must be finite" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["error"] == "ValueError: t_end / step must be finite, got 1e+300 / 1e-300"
+
+
 def test_non_integer_indices_exit_2(tmp_path, capsys):
     # numpy's int cast would run [1, 0], a shift by [1, 0] and blocks [[0, 1], [2, 3]]
     audit = {"command": "audit", "audit": "automorphism",
@@ -322,6 +334,26 @@ def test_kernel_spec_errors_name_the_field(tmp_path, capsys):
     explicit = dict(base, kernel={"variant": "geodesic", "geometry": "torus", "dim": 2,
                                   "delta": 0.2})
     assert main(["run", write_config(tmp_path, explicit), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_kernel_spec_values_out_of_domain_exit_2(tmp_path, capsys):
+    # NaN passes a plain `<= 0` test, and a dim the geometry fixes used to be replaced
+    cases = [("torus", {"variant": "geodesic", "delta": float("nan")}, "delta"),
+             ("interval", {"variant": "block", "boundaries": [0.0, float("nan"), 1.0],
+                           "values": [[1.0, 0.0], [0.0, 1.0]]}, "boundaries"),
+             ("interval", {"variant": "geodesic", "delta": 0.2, "dim": 3}, "dim"),
+             ("sphere2", {"variant": "geodesic", "delta": 0.2, "dim": 2}, "dim"),
+             ("torus", {"variant": "geodesic", "delta": 0.2, "dim": 0}, "dim"),
+             ("torus", {"variant": "geodesic", "delta": 0.2, "dim": -1}, "dim")]
+    for k, (geometry, kernel, field) in enumerate(cases):
+        doc = {"command": "simulate", "space": {"geometry": geometry, "resolution": [6]},
+               "kernel": kernel, "u0": {"kind": "constant", "value": 0.0},
+               "t_end": 0.1, "step": 0.05}
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2, kernel
+        assert repr(field) in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(f"ConfigError: field {field!r}: ")
 
 
 def test_model_fields_must_be_numbers(tmp_path, capsys):

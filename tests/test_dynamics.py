@@ -183,6 +183,16 @@ def test_non_finite_span_is_a_value_error_naming_the_field():
             integrate_meanfield(sys, MeasureState(u0[:, None]), t_end, step)
 
 
+def test_span_whose_step_count_overflows_is_a_value_error():
+    # both finite, but |t_end| / step is inf and round(inf) would raise OverflowError
+    sys, u0 = two_node_system(), np.array([0.0, 1.0])
+    for t_end in (1e300, -1e300):
+        with pytest.raises(ValueError, match="t_end / step must be finite"):
+            integrate(sys, kuramoto_model(), u0, t_end, 1e-300)
+        with pytest.raises(ValueError, match="t_end / step must be finite"):
+            integrate_meanfield(sys, MeasureState(u0[:, None]), t_end, 1e-300)
+
+
 def test_integrate_flags_blowup_time():
     from graphlim import ModelFunctions
     model = ModelFunctions(f=lambda u, s: u * u, g=lambda u, v: 0.0 * v)

@@ -7,12 +7,13 @@ from graphlim import (
     BlockKernel,
     ConstantKernel,
     CustomKernel,
-    GeodesicKernel,
+    IndexSpace,
     MatrixKernel,
     canonical_embedding,
     geodesic_kernel,
     kernel_from_json,
     kernel_from_spec,
+    make_finite_space,
     make_grid_space,
     uniform_space,
 )
@@ -158,15 +159,105 @@ def test_custom_kernel_verifies_symmetry():
         CustomKernel(lambda x, y: 2.0, "interval")
 
 
-def test_kernel_json_round_trip():
-    for k in (ConstantKernel(0.4),
-              MatrixKernel(np.array([[0.0, 0.3], [0.3, 1.0]])),
-              canonical_embedding(np.array([[0, 1], [1, 0]])),
-              geodesic_kernel("torus", 0.15, dim=2)):
-        k2 = kernel_from_json(k.to_json())
-        assert type(k2) is type(k)
-    g = kernel_from_json(geodesic_kernel("sphere2", 1.0).to_json())
-    assert isinstance(g, GeodesicKernel) and g.delta == 1.0
+_ADJ = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.0, 1.0]]
+_SPEC_CASES = {
+    "constant": ({"variant": "constant", "value": 0.4}, ConstantKernel(0.4), uniform_space(5)),
+    "matrix": ({"variant": "matrix", "values": _ADJ}, MatrixKernel(_ADJ), uniform_space(3)),
+    "block": ({"variant": "block", "boundaries": [0.0, 0.3, 0.6, 1.0], "values": _ADJ},
+              BlockKernel([0.0, 0.3, 0.6, 1.0], _ADJ), make_grid_space("interval", (11,))),
+    "canonical": ({"variant": "canonical", "adjacency": _ADJ}, canonical_embedding(_ADJ),
+                  make_grid_space("interval", (11,))),
+    "geodesic-torus": ({"variant": "geodesic", "geometry": "torus", "dim": 2, "delta": 0.15},
+                       geodesic_kernel("torus", 0.15, dim=2), make_grid_space("torus", (7, 6))),
+    "geodesic-sphere": ({"variant": "geodesic", "geometry": "sphere2", "delta": 1.0},
+                        geodesic_kernel("sphere2", 1.0), make_grid_space("sphere2", (40,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPEC_CASES))
+def test_kernel_from_spec_matches_the_direct_kernel(name):
+    spec, direct, space = _SPEC_CASES[name]
+    built = kernel_from_spec(spec)
+    assert type(built) is type(direct)
+    m, want = built.matrix(space), direct.matrix(space)
+    assert m.dtype == want.dtype and m.shape == want.shape and m.tobytes() == want.tobytes()
+
+
+def _random_space(geometry, n, dim, seed):
+    """Seeded small space of ``geometry`` with random coordinates and weights."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if geometry == "abstract":
+        return make_finite_space(rng.random(n) + 0.5)
+    if geometry == "sphere2":
+        v = rng.normal(size=(n, 3))
+        coords = v / np.linalg.norm(v, axis=1, keepdims=True)
+    else:
+        coords = rng.random((n, dim))
+    w = rng.random(n) + 0.5
+    return IndexSpace(geometry, coords, w / math.fsum(w.tolist()))
+
+
+_RNG = np.random.Generator(np.random.Philox(21))
+_SYM = _RNG.random((9, 9))
+_POINTWISE_CASES = {
+    "constant": (ConstantKernel(0.3), "abstract", 1),
+    "matrix": (MatrixKernel((_SYM + _SYM.T) / 2), "abstract", 1),
+    "block": (BlockKernel([0.0, 0.25, 0.7, 1.0], _ADJ), "interval", 1),
+    "canonical": (canonical_embedding((_SYM + _SYM.T > 1.0).astype(float)), "interval", 1),
+    "geodesic-interval": (geodesic_kernel("interval", 0.2), "interval", 1),
+    "geodesic-torus2": (geodesic_kernel("torus", 0.3, dim=2), "torus", 2),
+    "geodesic-torus3": (geodesic_kernel("torus", 0.35, dim=3), "torus", 3),
+    "geodesic-sphere": (geodesic_kernel("sphere2", 1.2), "sphere2", 3),
+    "custom": (CustomKernel(lambda x, y: float(np.cos(np.pi * (x[0] - y[0])) ** 2), "torus",
+                            dim=2), "torus", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE_CASES))
+def test_evaluate_agrees_with_matrix_on_every_pair(name):
+    kernel, geometry, dim = _POINTWISE_CASES[name]
+    for seed in (1, 2, 3):
+        space = _random_space(geometry, 9, dim, seed)
+        m, c = kernel.matrix(space), space.coords
+        for i in range(space.n):
+            for j in range(space.n):
+                assert kernel.evaluate(c[i], c[j]) == m[i, j], (seed, i, j)
+
+
+def test_matrix_kernel_points_must_be_node_indices():
+    k = MatrixKernel(np.array([[0.0, 0.2, 0.7], [0.2, 1.0, 0.4], [0.7, 0.4, 0.0]]))
+    assert k.evaluate([1], [2]) == 0.4 and k.evaluate(np.array([2.0]), [0]) == 0.7
+    for x in ([1.7], [-1], [3], [np.nan], [True]):
+        with pytest.raises(ValueError):
+            k.evaluate(x, [0])
+        with pytest.raises(ValueError):
+            k.evaluate([0], x)
+
+
+def test_evaluate_checks_point_dimension():
+    for k, good in ((canonical_embedding([[0, 1], [1, 0]]), [0.2]),
+                    (CustomKernel(lambda x, y: 0.5, "torus", dim=2), [0.1, 0.2])):
+        assert k.evaluate(good, good) in (0.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            k.evaluate(good + [0.3], good)
+
+
+def test_kernel_values_out_of_domain_name_the_field():
+    nan = float("nan")
+    for build, field in ((lambda: geodesic_kernel("torus", nan), "delta"),
+                         (lambda: geodesic_kernel("torus", 0.0), "delta"),
+                         (lambda: BlockKernel([0.0, nan, 1.0], np.eye(2)), "boundaries"),
+                         (lambda: BlockKernel([0.0, 0.5, nan], np.eye(2)), "boundaries"),
+                         (lambda: geodesic_kernel("interval", 0.2, dim=3), "dim"),
+                         (lambda: geodesic_kernel("sphere2", 0.2, dim=2), "dim"),
+                         (lambda: geodesic_kernel("torus", 0.2, dim=0), "dim"),
+                         (lambda: geodesic_kernel("torus", 0.2, dim=-1), "dim"),
+                         (lambda: CustomKernel(lambda x, y: 0.5, "interval", dim=2), "dim")):
+        with pytest.raises(ValueError, match=repr(field)):
+            build()
+    assert geodesic_kernel("interval", 0.2, dim=1).dim == 1
+    assert geodesic_kernel("sphere2", 0.2, dim=3).dim == 3
+    assert geodesic_kernel("torus", 0.2, dim=1).dim == 1
 
 
 def test_kernel_spec_parser():
