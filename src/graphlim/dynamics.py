@@ -133,12 +133,14 @@ def _rhs_fn(system, model):
     """The derivative u -> du of ``model`` on ``system``, everything but u bound once.
 
     Skipping a zero alpha or omega changes only a -0.0, which no row sum from +0.0 sees."""
-    rows, cols, w, n = system._bincount_args()[0], system.indices, system.weights, system.n
+    cols, w, n = system.indices, system.weights, system.n
     if not isinstance(model, KuramotoModel):
+        rows = system.row_of_entry  # built per bind, as on the small path; the large needs none
         return lambda u: model.f(u, np.bincount(rows, weights=w * model.g(u[rows], u[cols]),
                                                 minlength=n))
     omega, alpha = model.omega, model.alpha
     if cols.size < _SEGMENT_NNZ:
+        rows = system.row_of_entry
         def small(u):
             d = u[cols]
             d -= u[rows]
@@ -237,7 +239,12 @@ def _integrate_core(fn, y0, t_end, step, sample_every):
     y = np.array(y0, dtype=np.float64)
     out = np.empty_like(y)
     scratch = [np.empty_like(y) for _ in range(4)]
-    states = np.empty((1 + -(-nsteps // sample_every),) + y.shape)
+    count = 1 + -(-nsteps // sample_every)
+    try:
+        states = np.empty((count,) + y.shape)
+    except (MemoryError, ValueError):  # numpy's ValueError: past the largest array shape
+        raise ValueError(f"t_end={t_end!r}, step={step!r} and sample_every={sample_every} ask "
+                         f"for {count} samples, more than memory holds") from None
     states[0] = y
     times = [0.0]
     for k in range(1, nsteps + 1):

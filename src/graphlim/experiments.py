@@ -145,7 +145,7 @@ def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
     norm_res, exact = _norm_for(space, diff, heuristic_seed=seed)
 
     traj = integrate(system, kuramoto_model(0.0, 0.0), u0, t_end, step, sample_every)
-    measured = [l1_distance(space, pullback(imap, s), s) for s in traj.states]
+    measured = l1_distance(space, traj.states[:, imap.targets], traj.states)
     return ExperimentReport.from_series(
         "ghost",
         {"n": n, "p": p, "seed": seed, "t_end": t_end, "step": step,
@@ -175,7 +175,7 @@ def continuity_experiment(space: IndexSpace, kernel_w: Kernel, kernel_u: Kernel,
                      sample_every)
     n = space.n
     d0 = l1_distance(space, u0, v0)
-    measured = [l1_distance(space, s[:n], s[n:]) for s in traj.states]
+    measured = l1_distance(space, traj.states[:, :n], traj.states[:, n:])
     return ExperimentReport.from_series(
         "continuity",
         {"n": n, "t_end": t_end, "step": step, "d0": d0,
@@ -197,7 +197,7 @@ def symmetry_drift_experiment(system: CoupledSystem, imap: IndexMap, u0,
     model = model or kuramoto_model(0.0, 0.0)
     u0 = np.asarray(u0, dtype=np.float64)
     traj = integrate(system, model, u0, t_end, step, sample_every)
-    measured = [l1_distance(system.space, pullback(imap, s), s) for s in traj.states]
+    measured = l1_distance(system.space, traj.states[:, imap.targets], traj.states)
     return ExperimentReport.from_series(
         "symmetry-drift",
         {"n": system.n, "t_end": t_end, "step": step, "threshold": threshold,

@@ -69,7 +69,7 @@ def _meanfield_rhs_fn(system, m):
     if m == 1:
         node = _rhs_fn(system, _DIRAC_MODEL)
         return lambda u: node(u[:, 0])[:, None]
-    rows, cols, w, n = system._bincount_args()[0], system.indices, system.weights, system.n
+    rows, cols, w, n = system.row_of_entry, system.indices, system.weights, system.n
     def fn(u):
         sin_u, cos_u = np.sin(u), np.cos(u)
         s = np.bincount(rows, weights=w * sin_u.mean(axis=1)[cols], minlength=n)

@@ -29,13 +29,14 @@ EXACT_NORM_MAX_N = 24
 _LOW_BITS = 12
 
 
-def l1_distance(space: IndexSpace, u, v) -> float:
-    """Weighted L1 distance sum_j mu_j |u_j - v_j|."""
+def l1_distance(space: IndexSpace, u, v):
+    """Weighted L1 distance sum_j mu_j |u_j - v_j|; (k, n) stacks give k, each row summed alone."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != (space.n,) or v.shape != (space.n,):
+    if u.shape[-1:] != (space.n,) or v.shape != u.shape or u.ndim > 2:
         raise ValueError("state length does not match the space")
-    return float(np.sum(space.weights * np.abs(u - v)))
+    d = np.sum(space.weights * np.abs(u - v), axis=-1)
+    return float(d) if u.ndim == 1 else d
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ class CoupledSystem:
     ``indices[indptr[i]:indptr[i+1]]`` with matching weights, strictly
     increasing in neighbor index (the dynamics would sum a repeated neighbor,
     ``dense`` would keep one). ``fiber_normalization`` records how fiber
-    rows were scaled (None for kernel-derived systems).
+    rows were scaled (None for kernel-derived systems). A system keeps these
+    three arrays and nothing per entry besides them: the row of every entry
+    (``row_of_entry``) is built only where a path reads it.
     """
 
     space: IndexSpace
@@ -43,7 +45,6 @@ class CoupledSystem:
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        self.__dict__["_bincount_weights"] = weights.view()  # made before the freeze below
         for name, arr in (("indptr", indptr), ("indices", indices), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -56,8 +57,8 @@ class CoupledSystem:
             raise ValueError("indices and weights must be 1-D of matching length")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("neighbor index out of range")
-        rows = self.row_of_entry  # compared by shifted views: no nnz-length int temporaries
-        if np.any((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])):
+        drops = np.flatnonzero(indices[1:] <= indices[:-1]) + 1  # must all be row starts
+        if np.any(indptr[np.searchsorted(indptr, drops)] != drops):
             raise ValueError("neighbor indices must strictly increase within a row")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and nonnegative")
@@ -71,31 +72,23 @@ class CoupledSystem:
 
     @property
     def row_of_entry(self) -> np.ndarray:
-        """Row index of every CSR entry; cached for the dynamics."""
-        cached = self.__dict__.get("_row_of_entry")
-        if cached is None:
-            cached = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-            self.__dict__["_bincount_rows"] = cached.view()
-            cached.setflags(write=False)
-            self.__dict__["_row_of_entry"] = cached
-        return cached
-
-    def _bincount_args(self):
-        """Views of ``row_of_entry`` and ``weights`` taken before the freeze; never written to.
-
-        ``np.bincount`` copies a read-only input: 2 x nnz x 8 bytes per row sum.
-        The views are writable unless the arrays came in read-only.
-        """
-        self.row_of_entry
-        return self.__dict__["_bincount_rows"], self.__dict__["_bincount_weights"]
+        """Row index of every CSR entry, built anew on each call: the system keeps none."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def row(self, i: int):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
     def row_sums(self) -> np.ndarray:
-        rows, weights = self._bincount_args()
-        return np.bincount(rows, weights=weights, minlength=self.n)
+        """Row masses by ``np.bincount`` per block of whole rows: its bits, block-sized buffers."""
+        indptr, sums = self.indptr, np.empty(self.n)
+        # a block opens at the first row start at or past each multiple of _BLOCK_ENTRIES
+        edges = np.searchsorted(indptr, np.arange(0, indptr[-1] + 1, _BLOCK_ENTRIES)).tolist()
+        for lo, hi in zip(edges, edges[1:] + [self.n]):
+            rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+            sums[lo:hi] = np.bincount(rows, weights=self.weights[indptr[lo]:indptr[hi]],
+                                      minlength=hi - lo)
+        return sums
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))

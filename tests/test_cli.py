@@ -269,6 +269,20 @@ def test_span_whose_step_count_overflows_exits_2(tmp_path, capsys):
     assert manifest["error"] == "ValueError: t_end / step must be finite, got 1e+300 / 1e-300"
 
 
+def test_span_whose_samples_exceed_memory_exits_2(tmp_path, capsys):
+    doc = {"command": "simulate", "space": {"geometry": "abstract", "weights": [0.5, 0.5]},
+           "kernel": {"variant": "constant", "value": 1.0}, "u0": [0.0, 1.0],
+           "t_end": 1e12, "step": 1e-3}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    message = ("t_end=1000000000000.0, step=0.001 and sample_every=1 ask for "
+               "1000000000000001 samples, more than memory holds")
+    assert message in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["error"] == f"ValueError: {message}"
+
+
 def test_non_integer_indices_exit_2(tmp_path, capsys):
     # numpy's int cast would run [1, 0], a shift by [1, 0] and blocks [[0, 1], [2, 3]]
     audit = {"command": "audit", "audit": "automorphism",

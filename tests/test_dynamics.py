@@ -193,6 +193,20 @@ def test_span_whose_step_count_overflows_is_a_value_error():
             integrate_meanfield(sys, MeasureState(u0[:, None]), t_end, 1e-300)
 
 
+def test_span_whose_samples_exceed_memory_is_a_value_error():
+    # 1e15 steps ask for 16 PB of samples; 1e305 steps for more than numpy can shape
+    sys, u0 = two_node_system(), np.array([0.0, 1.0])
+    for t_end, step in ((1e12, 1e-3), (-1e12, 1e-3), (1e300, 1e-5)):
+        with pytest.raises(ValueError, match=r"t_end=.*, step=.* and sample_every=1 ask for "
+                                             r"\d+ samples, more than memory holds"):
+            integrate(sys, kuramoto_model(), u0, t_end, step)
+        with pytest.raises(ValueError, match="samples, more than memory holds"):
+            integrate_meanfield(sys, MeasureState(np.zeros((2, 3))), t_end, step)
+    # 1.6 PB of samples: still more than any machine holds
+    with pytest.raises(ValueError, match="sample_every=10 ask for 100000000000001 samples"):
+        integrate(sys, kuramoto_model(), u0, 1e12, 1e-3, sample_every=10)
+
+
 def test_integrate_flags_blowup_time():
     from graphlim import ModelFunctions
     model = ModelFunctions(f=lambda u, s: u * u, g=lambda u, v: 0.0 * v)

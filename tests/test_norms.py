@@ -85,6 +85,24 @@ def test_l1_distance_examples():
 def test_l1_distance_length_check():
     with pytest.raises(ValueError):
         l1_distance(uniform_space(3), np.zeros(3), np.zeros(4))
+    for u, v in ((np.zeros((5, 3)), np.zeros((5, 4))), (np.zeros((5, 3)), np.zeros((4, 3))),
+                 (np.zeros((2, 5, 3)), np.zeros((2, 5, 3))), (np.zeros(3), np.zeros((1, 3)))):
+        with pytest.raises(ValueError):
+            l1_distance(uniform_space(3), u, v)
+
+
+@pytest.mark.parametrize("n", [1, 12, 16, 23, 24, 130, 400, 3600])
+def test_stacked_l1_distance_is_the_per_row_loop_bytewise(n):
+    # the experiments measure whole trajectories at once; each row must keep
+    # the bits of a lone l1_distance, for strided and reindexed views alike
+    rng = np.random.Generator(np.random.Philox(n))
+    space = make_finite_space(rng.uniform(0.5, 2.0, n))
+    states = rng.normal(0.0, 3.0, (2001 if n <= 400 else 101, 2 * n))
+    perm = rng.permutation(n)
+    for a, b in ((states[:, :n], states[:, n:]), (states[:, perm], states[:, :n])):
+        want = np.array([l1_distance(space, u, v) for u, v in zip(a, b)])
+        got = l1_distance(space, a, b)
+        assert got.shape == (a.shape[0],) and got.tobytes() == want.tobytes()
 
 
 def test_exact_norm_of_constant_matrix():

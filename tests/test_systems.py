@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,7 +23,7 @@ from graphlim import (
     spherical_graphop,
     uniform_space,
 )
-from graphlim import graphop
+from graphlim import graphop, systems
 from graphlim.systems import _BLOCK_ENTRIES
 
 
@@ -115,6 +116,61 @@ def test_system_rejects_repeated_or_unsorted_neighbors():
     ok = CoupledSystem(uniform_space(3), np.array([0, 0, 2, 3]), np.array([1, 2, 0]),
                        np.array([0.2, 0.3, 0.4]))
     assert ok.dense().tolist() == [[0.0, 0.0, 0.0], [0.0, 0.2, 0.3], [0.4, 0.0, 0.0]]
+
+
+def test_system_checks_column_order_only_within_rows():
+    # five rows of uniform_space(5); 0.1 per entry keeps every row mass below 1
+    def build(indptr, indices):
+        return CoupledSystem(uniform_space(5), np.array(indptr), np.array(indices),
+                             np.full(len(indices), 0.1))
+    bad = [([0, 2, 2, 4, 4, 6], [3, 3, 0, 1, 2, 4]),  # repeated column, first row
+           ([0, 3, 3, 5, 5, 7], [0, 4, 2, 0, 1, 2, 4]),  # decreasing column, first row
+           ([0, 2, 2, 4, 4, 6], [0, 1, 3, 4, 4, 2]),  # decreasing column in the last row
+           ([0, 2, 2, 4, 4, 6], [0, 1, 3, 4, 2, 2]),  # repeated column in the last row
+           ([0, 0, 0, 2, 2, 4], [4, 1, 0, 3]),  # decreasing column after two empty rows
+           ([0, 0, 0, 0, 0, 2], [1, 1])]  # repeated column after four empty rows
+    for indptr, indices in bad:
+        with pytest.raises(ValueError, match="strictly increase"):
+            build(indptr, indices)
+    good = [([0, 2, 4, 6, 8, 10], [3, 4, 0, 1, 2, 3, 0, 4, 1, 2]),  # drops at every row start
+            ([0, 2, 2, 4, 4, 6], [3, 4, 0, 4, 0, 1]),  # drops across empty rows
+            ([0, 0, 1, 1, 2, 2], [4, 4]),  # a column repeated across an empty row
+            ([0, 0, 0, 0, 0, 0], [])]
+    for indptr, indices in good:
+        sys = build(indptr, indices)
+        assert sys.dense()[sys.row_of_entry, sys.indices].tolist() == [0.1] * len(indices)
+
+
+def row_length_system(lengths, seed):
+    """Sorted random columns and row masses below 1; zero-length rows pad it to a square."""
+    n = max(len(lengths), max(lengths, default=0))
+    lengths = list(lengths) + [0] * (n - len(lengths))
+    rng = np.random.Generator(np.random.Philox(seed))
+    indices = [np.sort(rng.choice(n, size=k, replace=False)) for k in lengths]
+    weights = [rng.uniform(0.0, 1.0, k) / (k + 1) for k in lengths]
+    return CoupledSystem(uniform_space(n), np.concatenate([[0], np.cumsum(lengths)]),
+                         np.concatenate(indices), np.concatenate(weights))
+
+
+@pytest.mark.parametrize("size", [None, 7, 64])
+def test_row_sums_are_the_whole_bincount_bytewise(monkeypatch, size):
+    if size is not None:
+        monkeypatch.setattr(systems, "_BLOCK_ENTRIES", size)
+    block = systems._BLOCK_ENTRIES
+    cases = {
+        "one_node": [1],
+        "one_node_empty": [0],
+        "no_entries": [0] * 9,
+        # rows longer than a block, between empty first, middle and trailing rows
+        "long_rows": [0, 0, block + 5, 3, 0, 0, 17, block + 1, 0, 0, 2],
+        "empty_edges": [0, 16, 16, 0, 0, 16, 16, 0] * 24 + [0, 0],
+        "exact_multiple": [8] * 224,
+    }
+    for name, lengths in cases.items():
+        sys = row_length_system(lengths, len(name))
+        want = np.bincount(sys.row_of_entry, weights=sys.weights, minlength=sys.n)
+        assert sys.row_sums().tobytes() == want.tobytes(), (name, size)
+        assert sys.n >= len(lengths) and sys.indices.size == sum(lengths)
 
 
 def reference_discretize(kernel, space):
@@ -277,23 +333,44 @@ def test_spherical_graphop_is_the_row_reference_bytewise():
     assert got.fiber_normalization == "probability"
 
 
+def traced_peak(build):
+    """``build()`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_sample_er_peak_memory_is_linear_in_nnz():
-    # ER n = 2000, p = 0.1: about 400k entries. The CSR arrays the system
-    # keeps (indices, weights, the cached row of every entry) are 3 x nnz x 8
-    # bytes; the dense re-blocking build peaked above 12 x nnz x 8, and
-    # read-only copies inside the row-sum check added 2 x nnz x 8.
+    # ER n = 2000, p = 0.1: about 400k entries. The arrays the system keeps
+    # (indices and weights) are 2 x nnz x 8 bytes; the dense re-blocking build
+    # peaked above 12 x nnz x 8, read-only copies inside the row-sum check added
+    # 2 x nnz x 8, and a cached row of every entry 1 x nnz x 8 more.
     for seed in (1, 2):
-        tracemalloc.start()
-        try:
-            sys = sample_er(2000, 0.1, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
+        sys, peak = traced_peak(lambda: sample_er(2000, 0.1, seed))
+        assert peak <= 2.5 * sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
+
+
+def test_system_from_read_only_arrays_allocates_nothing_per_entry():
+    # the arrays are reused, not copied; the checks and row sums work in
+    # bool masks and blocks of whole rows, no nnz-length int or float temporary
+    for seed in (1, 2):
+        er = sample_er(2000, 0.1, seed)
+        assert not (er.indices.flags.writeable or er.weights.flags.writeable)
+        unit = er.indices.size * 8
+        sys, peak = traced_peak(lambda: CoupledSystem(er.space, er.indptr, er.indices,
+                                                      er.weights))
+        assert sys.weights is er.weights and peak <= 0.25 * unit, (seed, peak / unit)
+        sums, peak = traced_peak(lambda: dataclasses.replace(er, label="copy").row_sums())
+        assert sums.tobytes() == er.row_sums().tobytes() and peak <= 0.25 * unit, \
+            (seed, peak / unit)
 
 
 def test_row_sums_copy_no_entry_arrays():
-    # np.bincount copies read-only inputs; row_sums counts with writable aliases
+    # np.bincount copies read-only inputs; row_sums copies one block of rows at a time
     for seed in (1, 2):
         sys = sample_er(2000, 0.1, seed)
         want = np.bincount(sys.row_of_entry, weights=sys.weights, minlength=sys.n)
@@ -305,4 +382,4 @@ def test_row_sums_copy_no_entry_arrays():
             tracemalloc.stop()
         assert peak < sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
         assert np.array_equal(sums, want)
-        assert not (sys.weights.flags.writeable or sys.row_of_entry.flags.writeable)
+        assert not sys.weights.flags.writeable
