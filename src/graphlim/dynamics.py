@@ -23,8 +23,8 @@ row sum would be cheaper still, but the product form keeps synchrony an
 exact fixed point (at u_j = u_i the two products are the same float) and
 keeps each pair term exactly antisymmetric when alpha = 0.
 
-That path walks the rows in blocks of whole rows of about
-``systems._BLOCK_ENTRIES`` entries, fixed at bind time, so its per-call
+That path walks the rows in the blocks of ``systems._row_blocks`` (whole
+rows of about 2^15 entries), fixed at bind time, so its per-call
 temporaries stay cache-sized and come from the heap without page faults.
 A row is never split, so the block size changes no bit.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .systems import _BLOCK_ENTRIES, CoupledSystem
+from .systems import CoupledSystem, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ def _rhs_fn(system, model):
 
     Skipping a zero alpha or omega changes only a -0.0, which no row sum from +0.0 sees."""
     cols, w, n = system.indices, system.weights, system.n
+    if not cols.size:  # np.bincount of no entries would count in int64
+        return lambda u: model.f(u, np.zeros(n))
     if not isinstance(model, KuramotoModel):
         rows = system.row_of_entry  # built per bind, as on the small path; the large needs none
         return lambda u: model.f(u, np.bincount(rows, weights=w * model.g(u[rows], u[cols]),
@@ -176,18 +178,6 @@ def _rhs_fn(system, model):
             s[nonempty] = np.add.reduceat(pair, starts)
         return omega + s  # a one-entry row may sum to -0.0, so omega = 0 is still added
     return large
-
-
-def _row_blocks(indptr):
-    """(lo, hi) row ranges of about ``_BLOCK_ENTRIES`` entries each, every row whole.
-
-    A row longer than that is a block of its own; a block may end in empty rows."""
-    n, edges = indptr.size - 1, [0]
-    while edges[-1] < n:
-        lo = edges[-1]
-        hi = int(np.searchsorted(indptr, indptr[lo] + _BLOCK_ENTRIES, side="right")) - 1
-        edges.append(max(hi, lo + 1))
-    return list(zip(edges[:-1], edges[1:]))
 
 
 def _rk4_step(fn, y, h, out, scratch):

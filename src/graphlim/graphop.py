@@ -56,24 +56,19 @@ def spherical_graphop(space: IndexSpace, band_halfwidth: float | None = None,
     if space.geometry != "sphere2":
         raise ValueError("spherical graphop needs a sphere2 space")
     eps = band_halfwidth if band_halfwidth is not None else 1.5 * _max_grid_spacing(space)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("band_halfwidth must be positive")
-    coords = space.coords
-    mu = space.weights
-    counts = np.zeros(space.n + 1, dtype=np.int64)
-    indices, weights, empty = [], [], []
-    for i in range(space.n):
-        keep = np.flatnonzero(np.abs(coords @ coords[i]) <= eps)  # ascending, as CSR rows are
-        if keep.size == 0:
-            empty.append(i)
-            continue
-        masses = mu[keep]
-        indices.append(keep)
-        weights.append(masses / math.fsum(masses.tolist()))
-        counts[i + 1] = keep.size
+    coords, mu = space.coords, space.weights
+    def fibers(lo, hi):
+        # one gemv per row, the bits of coords @ coords[i]; a gemm rounds some dots otherwise
+        dots = coords @ coords[lo:hi, :, None]
+        band = np.abs(dots, out=dots)[..., 0] <= eps
+        mass = [math.fsum(mu[row].tolist()) or 1.0 for row in band]  # exactly rounded; empty: 1
+        return np.divide(mu, np.array(mass)[:, None], out=np.zeros(band.shape), where=band)
+    system = _from_row_blocks(space, fibers, label)
+    empty = np.flatnonzero(np.diff(system.indptr) == 0).tolist()
     if empty:
         raise DegenerateFiberError(
             f"band halfwidth {eps} leaves {len(empty)} empty fibers", nodes=empty
         )
-    return CoupledSystem(space, np.cumsum(counts), np.concatenate(indices),
-                         np.concatenate(weights), label=label, fiber_normalization="probability")
+    return system

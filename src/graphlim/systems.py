@@ -17,7 +17,8 @@ from .kernels import Kernel
 from .space import IndexSpace, uniform_space
 
 _ROW_SUM_SLACK = 1e-9
-# Dense entries per row block of a build: bounds its transient memory at any n.
+# Entries per block of whole rows: dense ones in a build, stored ones in row sums and the
+# large RHS (`_row_blocks`). Bounds transient memory at any n.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -28,10 +29,9 @@ class CoupledSystem:
     ``indptr``/``indices``/``weights`` follow the CSR convention; row i is
     ``indices[indptr[i]:indptr[i+1]]`` with matching weights, strictly
     increasing in neighbor index (the dynamics would sum a repeated neighbor,
-    ``dense`` would keep one). ``fiber_normalization`` records how fiber
-    rows were scaled (None for kernel-derived systems). A system keeps these
-    three arrays and nothing per entry besides them: the row of every entry
-    (``row_of_entry``) is built only where a path reads it.
+    ``dense`` would keep one). A system keeps these three arrays and nothing
+    per entry besides them: the row of every entry (``row_of_entry``) is
+    built only where a path reads it.
     """
 
     space: IndexSpace
@@ -39,7 +39,6 @@ class CoupledSystem:
     indices: np.ndarray
     weights: np.ndarray
     label: str = ""
-    fiber_normalization: str | None = None
 
     def __post_init__(self):
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -82,9 +81,7 @@ class CoupledSystem:
     def row_sums(self) -> np.ndarray:
         """Row masses by ``np.bincount`` per block of whole rows: its bits, block-sized buffers."""
         indptr, sums = self.indptr, np.empty(self.n)
-        # a block opens at the first row start at or past each multiple of _BLOCK_ENTRIES
-        edges = np.searchsorted(indptr, np.arange(0, indptr[-1] + 1, _BLOCK_ENTRIES)).tolist()
-        for lo, hi in zip(edges, edges[1:] + [self.n]):
+        for lo, hi in _row_blocks(indptr):
             rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
             sums[lo:hi] = np.bincount(rows, weights=self.weights[indptr[lo]:indptr[hi]],
                                       minlength=hi - lo)
@@ -97,8 +94,19 @@ class CoupledSystem:
         return m
 
 
-def from_rows(space: IndexSpace, rows, label: str = "",
-              fiber_normalization: str | None = None) -> CoupledSystem:
+def _row_blocks(indptr):
+    """(lo, hi) row ranges of about ``_BLOCK_ENTRIES`` entries each, every row whole.
+
+    A row longer than that is a block of its own; a block may end in empty rows."""
+    n, edges = indptr.size - 1, [0]
+    while edges[-1] < n:
+        lo = edges[-1]
+        hi = int(np.searchsorted(indptr, indptr[lo] + _BLOCK_ENTRIES, side="right")) - 1
+        edges.append(max(hi, lo + 1))
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def from_rows(space: IndexSpace, rows, label: str = "") -> CoupledSystem:
     """Build a system from per-node (indices, weights) pairs."""
     indptr = np.zeros(space.n + 1, dtype=np.int64)
     all_idx = []
@@ -112,8 +120,7 @@ def from_rows(space: IndexSpace, rows, label: str = "",
         indptr[i + 1] = indptr[i] + idx.size
     indices = np.concatenate(all_idx) if all_idx else np.zeros(0, dtype=np.int64)
     weights = np.concatenate(all_w) if all_w else np.zeros(0)
-    return CoupledSystem(space, indptr, indices, weights, label=label,
-                         fiber_normalization=fiber_normalization)
+    return CoupledSystem(space, indptr, indices, weights, label=label)
 
 
 def disjoint_union(systems) -> tuple[CoupledSystem, np.ndarray]:

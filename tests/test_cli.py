@@ -100,6 +100,36 @@ def test_simulate_command(tmp_path):
     assert len(lines) == 7  # header + 6 samples
 
 
+@pytest.mark.parametrize("system, omega", [
+    ({"er": {"n": 12, "p": 0.0, "seed": 1}}, 0.5),
+    ({"space": {"geometry": "interval", "resolution": [8]},
+      "kernel": {"variant": "constant", "value": 0.0}}, 1.0),
+], ids=["er_p0", "constant_zero"])
+def test_uncoupled_network_simulates(tmp_path, system, omega):
+    cfg = write_config(tmp_path, {"command": "simulate", **system, "model": {"omega": omega},
+                                  "u0": {"kind": "random_uniform", "seed": 5},
+                                  "t_end": 0.2, "step": 0.05})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert traj.shape[0] == 5 and np.all(np.isfinite(traj))
+    assert np.allclose(traj[-1, 1:] - traj[0, 1:], 0.2 * omega, rtol=0, atol=1e-12)
+
+
+def test_spherical_graphop_nan_halfwidth_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "command": "simulate",
+        "spherical_graphop": {"space": {"geometry": "sphere2", "resolution": [60]},
+                              "band_halfwidth": float("nan")},
+        "u0": {"kind": "constant", "value": 0.0}, "t_end": 0.1, "step": 0.05,
+    })
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "band_halfwidth must be positive" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "ValueError: band_halfwidth must be positive"
+
+
 def test_audit_automorphism_expectation(tmp_path):
     base = {
         "command": "audit", "audit": "automorphism",

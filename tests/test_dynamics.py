@@ -25,7 +25,7 @@ from graphlim import (
     spherical_graphop,
     uniform_space,
 )
-from graphlim import dynamics
+from graphlim import dynamics, systems
 from graphlim.dynamics import _SEGMENT_NNZ, _rhs_fn
 
 
@@ -626,10 +626,10 @@ def blocked_rhs_cases():
 
 def test_row_blocks_hold_whole_rows(monkeypatch):
     for size in (7, 64):
-        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", size)
+        monkeypatch.setattr(systems, "_BLOCK_ENTRIES", size)
         for name, lengths in blocked_rhs_cases().items():
             indptr = np.concatenate([[0], np.cumsum(lengths)])
-            blocks = dynamics._row_blocks(indptr)
+            blocks = systems._row_blocks(indptr)
             edges = [lo for lo, _ in blocks] + [blocks[-1][1]]
             assert edges == sorted(set(edges)) and edges[0] == 0 and edges[-1] == len(lengths)
             for lo, hi in blocks:
@@ -640,18 +640,18 @@ def test_row_blocks_hold_whole_rows(monkeypatch):
             if name == "empty_edges" and size == 64:  # a block opens on empty rows, all close so
                 assert lengths[0] == 0 and all(lengths[hi - 1] == 0 for _, hi in blocks)
     rows_of_8 = np.arange(0, 8 * 56 + 1, 8)
-    assert dynamics._row_blocks(rows_of_8) == [(lo, lo + 8) for lo in range(0, 56, 8)]
-    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 7)
-    assert dynamics._row_blocks(rows_of_8) == [(lo, lo + 1) for lo in range(56)]
+    assert systems._row_blocks(rows_of_8) == [(lo, lo + 8) for lo in range(0, 56, 8)]
+    monkeypatch.setattr(systems, "_BLOCK_ENTRIES", 7)
+    assert systems._row_blocks(rows_of_8) == [(lo, lo + 1) for lo in range(56)]
 
 
 @pytest.mark.parametrize("size", [7, 64])
 @pytest.mark.parametrize("name", sorted(blocked_rhs_cases()))
 def test_blocked_rhs_is_the_segment_reference_bitwise(monkeypatch, size, name):
-    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", size)
+    monkeypatch.setattr(systems, "_BLOCK_ENTRIES", size)
     sys = row_length_system(blocked_rhs_cases()[name], 71)
     assert sys.indices.size >= _SEGMENT_NNZ
-    assert len(dynamics._row_blocks(sys.indptr)) > 1
+    assert len(systems._row_blocks(sys.indptr)) > 1
     rng = np.random.Generator(np.random.Philox(72))
     for omega in (0.0, 0.7):
         for alpha in (0.0, 0.3):
@@ -661,3 +661,37 @@ def test_blocked_rhs_is_the_segment_reference_bitwise(monkeypatch, size, name):
             traj = integrate(sys, model, u, 0.03, 1e-2)
             want = textbook_rk4(lambda x: reference_segment_rhs(sys, model, x), u, 0.03, 1e-2)
             assert same_bits(traj.states, want), (name, size, omega, alpha)
+
+
+UNCOUPLED = {
+    "er_p0": lambda: sample_er(12, 0.0, 1),
+    "constant_zero": lambda: discretize(ConstantKernel(0.0), uniform_space(9)),
+}
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(UNCOUPLED))
+def test_uncoupled_network_turns_at_its_frequency(name, omega):
+    # np.bincount of no entries counts in int64, which an in-place add of omega cannot take
+    sys = UNCOUPLED[name]()
+    assert sys.indices.size == 0
+    u0 = np.random.Generator(np.random.Philox(80)).uniform(-3.0, 3.0, sys.n)
+    generic = ModelFunctions(f=lambda u, s: np.cos(u) + s, g=lambda u, v: np.sin(v - u))
+    for model in (kuramoto_model(omega, 0.0), kuramoto_model(omega, 0.3), generic):
+        assert_bound_rhs_is_reference(sys, model, u0, reference_rhs)
+        traj = integrate(sys, model, u0, 0.2, 0.05)
+        want = textbook_rk4(lambda x: reference_rhs(sys, model, x), u0, 0.2, 0.05)
+        assert same_bits(traj.states, want)
+    assert same_bits(rhs(sys, kuramoto_model(omega, 0.3), u0), np.full(sys.n, omega))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name", sorted(UNCOUPLED))
+def test_uncoupled_clouds_stand_still(name, m):
+    sys = UNCOUPLED[name]()
+    clouds = np.random.Generator(np.random.Philox(81)).uniform(-3.0, 3.0, (sys.n, m))
+    du = meanfield_rhs(sys, clouds)
+    assert du.dtype == np.float64 and np.array_equal(du, np.zeros((sys.n, m)))
+    traj = integrate_meanfield(sys, MeasureState(clouds), 0.2, 0.05)
+    assert traj.states.dtype == np.float64
+    assert np.array_equal(traj.states, np.stack([clouds] * 5))

@@ -104,7 +104,6 @@ def test_spherical_fibers_are_probability_measures():
     space, fs = sphere_setup()
     sums = fs.row_sums()
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
-    assert fs.fiber_normalization == "probability"
 
 
 def test_spherical_fiber_of_pole_sits_near_equator():
@@ -120,10 +119,23 @@ def test_spherical_fiber_of_pole_sits_near_equator():
 
 
 def test_spherical_graphop_degenerate_fiber():
-    space = make_grid_space("sphere2", (60,))
-    with pytest.raises(DegenerateFiberError) as err:
-        spherical_graphop(space, band_halfwidth=1e-6)
-    assert len(err.value.nodes) > 0
+    for resolution, order, halfwidth in ((60, 1, 1e-6), (40, 1, 0.05), (120, 4, 0.05),
+                                         (2016, 12, 1e-6)):
+        space = make_grid_space("sphere2", (resolution,), symmetry_order=order)
+        with pytest.raises(DegenerateFiberError) as err:
+            spherical_graphop(space, band_halfwidth=halfwidth)
+        # the nodes with an empty band in the dense matrix of the fibers' defining dot products
+        dots = np.stack([space.coords @ x for x in space.coords])
+        want = np.flatnonzero(~np.any(np.abs(dots) <= halfwidth, axis=1)).tolist()
+        assert len(err.value.nodes) > 0
+        assert list(err.value.nodes) == want
+        assert str(err.value) == f"band halfwidth {halfwidth} leaves {len(want)} empty fibers"
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, -0.1, float("nan")])
+def test_spherical_graphop_rejects_a_halfwidth_that_is_not_positive(halfwidth):
+    with pytest.raises(ValueError, match="band_halfwidth must be positive"):
+        spherical_graphop(make_grid_space("sphere2", (60,)), band_halfwidth=halfwidth)
 
 
 def test_sphere_rotation_and_reflection_preserve_fibers_exactly():

@@ -284,8 +284,8 @@ def blocked_reference_sample_er(n, p, seed):
     return blocked_reference_from_row_blocks(space, row_block)
 
 
-def reference_spherical_graphop(space):
-    eps = 1.5 * graphop._max_grid_spacing(space)
+def reference_spherical_graphop(space, eps=None):
+    eps = 1.5 * graphop._max_grid_spacing(space) if eps is None else eps
     rows = []
     for i in range(space.n):
         keep = np.nonzero(np.abs(space.coords @ space.coords[i]) <= eps)[0]
@@ -327,10 +327,12 @@ def test_graphop_from_weighted_is_the_blocked_reference_bytewise():
 
 
 def test_spherical_graphop_is_the_row_reference_bytewise():
-    space = make_grid_space("sphere2", (468,), symmetry_order=12)
-    got, want = spherical_graphop(space), reference_spherical_graphop(space)
-    assert_same_csr(got, want)
-    assert got.fiber_normalization == "probability"
+    # at halfwidth 1.0 whether a fiber holds x itself or -x turns on the last bit of a dot
+    for resolution, order in ((40, 1), (120, 4), (468, 12), (1000, 1), (2016, 12), (3000, 6)):
+        space = make_grid_space("sphere2", (resolution,), symmetry_order=order)
+        for halfwidth in (None, 0.2, 1.0):
+            got = spherical_graphop(space, band_halfwidth=halfwidth)
+            assert_same_csr(got, reference_spherical_graphop(space, halfwidth))
 
 
 def traced_peak(build):
