@@ -114,6 +114,12 @@ def twisted_residual(space: IndexSpace, delta: float, q) -> float:
     return float(np.max(np.abs(du)))
 
 
+def _check_span(t_end):
+    """The bounds hold for t >= 0: reject a span that is not forward before any work."""
+    if not t_end > 0:  # also False for NaN
+        raise ValueError(f"t_end must be positive for a bounded experiment, got {t_end!r}")
+
+
 def _norm_for(space, diff, heuristic_seed=0):
     if space.n <= EXACT_NORM_MAX_N:
         return inf_to_one_norm_exact(space, diff), True
@@ -132,6 +138,7 @@ def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
     With the exact norm the verdict certifies the bound; the heuristic norm
     only yields an informational report.
     """
+    _check_span(t_end)
     system = sample_er(n, p, seed)
     space = system.space
     u0 = np.asarray(u0_symmetric, dtype=np.float64)
@@ -165,6 +172,7 @@ def continuity_experiment(space: IndexSpace, kernel_w: Kernel, kernel_u: Kernel,
     nonzeros that keeps the bits of two separate ``integrate`` calls; from
     there on the union takes the Kuramoto product-form path.
     """
+    _check_span(t_end)
     u0 = _initial_state(u0, space.n)
     v0 = _initial_state(v0, space.n)
     union, _ = disjoint_union([discretize(kernel_w, space, label="W"),

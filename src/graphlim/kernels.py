@@ -177,15 +177,23 @@ class GeodesicKernel(Kernel):
         self.geometry = geometry
         self.delta = float(delta)
 
+    def _near(self, a, b):
+        """Per-axis ball of the circle and the torus: arc distance <= delta, with the slack.
+
+        The max-metric ball is the product of these, so ``_table`` and the product-grid
+        builder of ``systems.discretize`` both read W from here.
+        """
+        return circle_distance(a, b) <= self.delta + self._TIE_TOL
+
     def _table(self, x, y):
         x, y = x[:, None, :], y[None, :, :]
         if self.geometry == "sphere2":
             d = np.arccos(np.clip(np.sum(x * y, axis=-1), -1.0, 1.0))
-        else:  # max-metric folded one axis at a time: no (a, b, dim) temporary
-            d = circle_distance(x[..., 0], y[..., 0])
-            for k in range(1, self.dim):
-                d = np.maximum(d, circle_distance(x[..., k], y[..., k]))
-        return (d <= self.delta + self._TIE_TOL).astype(np.float64)
+            return (d <= self.delta + self._TIE_TOL).astype(np.float64)
+        inside = self._near(x[..., 0], y[..., 0])
+        for k in range(1, self.dim):  # one axis at a time: no (a, b, dim) temporary
+            inside &= self._near(x[..., k], y[..., k])
+        return inside.astype(np.float64)
 
 
 class CustomKernel(Kernel):

@@ -19,10 +19,18 @@ GEOMETRIES = ("abstract", "interval", "torus", "sphere2")
 _WEIGHT_TOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only C-contiguous ``dtype`` array.
+
+    Where the conversion hands back the caller's own memory (``a`` itself or a view) and
+    it is writable, the result is a copy, so the caller's array stays writable and its
+    later writes reach no space or system. A read-only input is kept, not copied.
+    """
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.flags.writeable and (out is a or not out.flags.owndata):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _index_array(values, what: str) -> np.ndarray:
@@ -60,7 +68,7 @@ class IndexSpace:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        coords = _frozen(np.atleast_2d(self.coords))
+        coords = np.atleast_2d(_frozen(self.coords))
         weights = _frozen(self.weights).reshape(-1)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "weights", weights)
@@ -137,9 +145,17 @@ def make_grid_space(geometry: str, resolution, *, bands: int | None = None,
     carry the band's area share split evenly. ``bands`` overrides the band
     count (odd counts recommended) and ``symmetry_order`` forces every band
     population to a multiple of m so the rotation by 2*pi/m permutes the
-    grid exactly; it requires m to divide the target.
+    grid exactly; it requires m to divide the target. Resolution entries are
+    whole numbers, not booleans or fractions.
     """
-    resolution = tuple(int(r) for r in np.atleast_1d(resolution))
+    if geometry not in ("interval", "torus", "sphere2"):
+        raise ValueError(f"unsupported grid geometry {geometry!r}")
+    res = _index_array(resolution, "resolution")
+    if res.ndim > 1 or res.size == 0 or geometry != "torus" and res.size != 1:
+        count = "at least one entry" if geometry == "torus" else "exactly one entry"
+        raise ValueError(f"{geometry} resolution must be a flat list of {count}, "
+                         f"got {resolution!r}")
+    resolution = tuple(np.atleast_1d(res).tolist())
     if any(r < 1 for r in resolution):
         raise ValueError("resolution entries must be at least 1")
     if geometry == "interval":
@@ -152,10 +168,8 @@ def make_grid_space(geometry: str, resolution, *, bands: int | None = None,
         coords = np.stack([m.reshape(-1) for m in mesh], axis=1)
         n = coords.shape[0]
         return IndexSpace("torus", coords, np.full(n, 1.0 / n), resolution=resolution)
-    if geometry == "sphere2":
-        (target,) = resolution
-        return _sphere_band_grid(target, bands, symmetry_order)
-    raise ValueError(f"unsupported grid geometry {geometry!r}")
+    (target,) = resolution
+    return _sphere_band_grid(target, bands, symmetry_order)
 
 
 def _default_band_count(target: int) -> int:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel
-from .space import IndexSpace, uniform_space
+from .kernels import GeodesicKernel, Kernel
+from .space import IndexSpace, _frozen, uniform_space
 
 _ROW_SUM_SLACK = 1e-9
 # Entries per block of whole rows: dense ones in a build, stored ones in row sums and the
@@ -41,12 +41,9 @@ class CoupledSystem:
     label: str = ""
 
     def __post_init__(self):
-        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        for name, arr in (("indptr", indptr), ("indices", indices), ("weights", weights)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        indptr, indices, weights = self.indptr, self.indices, self.weights
         n = self.space.n
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError("malformed row pointers")
@@ -120,7 +117,7 @@ def from_rows(space: IndexSpace, rows, label: str = "") -> CoupledSystem:
         indptr[i + 1] = indptr[i] + idx.size
     indices = np.concatenate(all_idx) if all_idx else np.zeros(0, dtype=np.int64)
     weights = np.concatenate(all_w) if all_w else np.zeros(0)
-    return CoupledSystem(space, indptr, indices, weights, label=label)
+    return _sealed(space, indptr, indices, weights, label)
 
 
 def disjoint_union(systems) -> tuple[CoupledSystem, np.ndarray]:
@@ -136,38 +133,106 @@ def disjoint_union(systems) -> tuple[CoupledSystem, np.ndarray]:
     indptr = np.concatenate([[0]] + [s.indptr[1:] + e for s, e in zip(systems, entry_offsets)])
     indices = np.concatenate([s.indices + o for s, o in zip(systems, offsets)])
     weights = np.concatenate([s.weights for s in systems])
-    union = CoupledSystem(uniform_space(int(offsets[-1])), indptr, indices, weights,
-                          label="+".join(s.label for s in systems))
+    union = _sealed(uniform_space(int(offsets[-1])), indptr, indices, weights,
+                    "+".join(s.label for s in systems))
     return union, offsets
 
 
-def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
-    """CSR system from the dense masses ``row_block(lo, hi)`` of rows lo..hi-1, asked in order.
+def _sealed(space: IndexSpace, indptr, indices, weights, label: str) -> CoupledSystem:
+    """A system on arrays built here, frozen in place so that ``CoupledSystem`` copies none."""
+    for a in (indptr, indices, weights):
+        a.setflags(write=False)
+    return CoupledSystem(space, indptr, indices, weights, label=label)
+
+
+def _nonzeros(n: int, row_block):
+    """CSR ``(indptr, indices, values)`` of the dense rows ``row_block(lo, hi)``, asked in order.
 
     Rows come in blocks of about ``_BLOCK_ENTRIES`` dense entries. Exact zeros
     are dropped; the flat row-major positions of the rest sort each row by neighbor.
     """
-    n = space.n
     step = max(1, _BLOCK_ENTRIES // n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indices, weights = [], []
+    indices, values = [], []
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         block = row_block(lo, hi).ravel()
         flat = np.flatnonzero(block != 0)
         indptr[lo + 1:hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * n)
         indices.append(flat % n)
-        weights.append(block[flat])
-    return CoupledSystem(space, indptr, np.concatenate(indices), np.concatenate(weights),
-                         label=label)
+        values.append(block[flat])
+    return indptr, np.concatenate(indices), np.concatenate(values)
+
+
+def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
+    """CSR system from the dense masses ``row_block(lo, hi)`` of rows lo..hi-1 (``_nonzeros``)."""
+    return _sealed(space, *_nonzeros(space.n, row_block), label)
+
+
+def _grid_axes(space: IndexSpace):
+    """The sorted distinct coordinates of each axis when ``space`` is their row-major
+    product grid (last axis fastest, as ``make_grid_space`` builds it), else None."""
+    columns = space.coords.T
+    axes = [np.unique(c) for c in columns]
+    if np.prod([u.size for u in axes], dtype=np.float64) != space.n:  # no int64 wraparound
+        return None
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes if all(map(np.array_equal, (m.ravel() for m in mesh), columns)) else None
+
+
+def _from_axis_supports(space: IndexSpace, supports, label: str) -> CoupledSystem:
+    """System with W = 1 exactly on the products of per-axis supports of a row-major grid.
+
+    ``supports`` holds per axis the CSR ``(indptr, indices)`` of its values' sorted
+    neighbour lists. Row (a_0, .., a_{d-1}) (last axis fastest) keeps the columns
+    (..(b_0 m_1 + b_1) m_2 + ..) over b_k in the support of a_k, each with weight mu_j;
+    expanding one axis at a time, first axis outermost, lists them in ascending order.
+    Blocks of whole rows of about ``_BLOCK_ENTRIES`` entries fill preallocated CSR
+    arrays: O(nnz + n) work and memory.
+    """
+    sizes = [p.size - 1 for p, _ in supports]
+    lengths = [np.diff(p) for p, _ in supports]
+    row_len = np.ones(1, dtype=np.int64)
+    for length in lengths:
+        row_len = np.multiply.outer(row_len, length).reshape(-1)
+    indptr = np.zeros(space.n + 1, dtype=np.int64)
+    np.cumsum(row_len, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    weights = np.empty(indptr[-1])
+    for lo, hi in _row_blocks(indptr):
+        digits = np.unravel_index(np.arange(lo, hi), sizes)
+        cols, width = np.zeros(hi - lo, dtype=np.int64), np.ones(hi - lo, dtype=np.int64)
+        for (ptr, idx), m, length, digit in zip(supports, sizes, lengths, digits):
+            span = np.repeat(length[digit], width)  # entries each partial column becomes
+            ends = np.cumsum(span)
+            near = np.arange(ends[-1])  # each entry's place in idx, then its neighbour there
+            near -= np.repeat(ends - span - np.repeat(ptr[digit], width), span)
+            near = idx[near]
+            near += np.repeat(cols * m, span)
+            cols, width = near, width * length[digit]
+        a, b = indptr[lo], indptr[hi]
+        indices[a:b] = cols
+        np.take(space.weights, cols, out=weights[a:b])
+    return _sealed(space, indptr, indices, weights, label)
 
 
 def discretize(kernel: Kernel, space: IndexSpace, label: str = "") -> CoupledSystem:
-    """Quadrature rows w_ij = W(x_i, x_j) mu_j; exact zeros are dropped."""
+    """Quadrature rows w_ij = W(x_i, x_j) mu_j; exact zeros are dropped.
+
+    A geodesic kernel on a product grid of two or more torus axes builds from its
+    per-axis supports in O(nnz + n); every other kernel and space evaluates W on row
+    blocks. Both give the same bytes.
+    """
     kernel.check_space(space)
+    label = label or "graphon"
+    axes = (isinstance(kernel, GeodesicKernel) and kernel.geometry == "torus" and space.dim > 1
+            and _grid_axes(space))
+    if axes:
+        supports = [_nonzeros(u.size, lambda lo, hi, u=u: kernel._near(u[lo:hi, None], u))[:2]
+                    for u in axes]
+        return _from_axis_supports(space, supports, label)
     mu = space.weights
-    return _from_row_blocks(space, lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu,
-                            label or "graphon")
+    return _from_row_blocks(space, lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu, label)
 
 
 def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
@@ -203,8 +268,7 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     cols = keys % n
     del keys  # before the validation temporaries of CoupledSystem: a lower peak
-    return CoupledSystem(space, indptr, cols, space.weights[cols],
-                         label=f"er(n={n},p={p},seed={seed})")
+    return _sealed(space, indptr, cols, space.weights[cols], f"er(n={n},p={p},seed={seed})")
 
 
 def adjacency_matrix(system: CoupledSystem) -> np.ndarray:

@@ -287,6 +287,42 @@ def test_non_finite_span_exits_2(tmp_path, capsys):
         assert manifest["error"] == f"ValueError: {message}"
 
 
+def test_loose_grid_resolutions_exit_2(tmp_path, capsys):
+    # an int cast read [6.5, 6] as a 6x6 grid and [True, 6] as 1x6, both exit 0
+    simulate = {"command": "simulate", "kernel": {"variant": "geodesic", "delta": 0.2},
+                "u0": {"kind": "constant", "value": 0.0}, "t_end": 0.1, "step": 0.05}
+    twisted = {"command": "twisted", "delta": 0.2, "q": [1, 1]}
+    cases = [(dict(simulate, space={"geometry": "torus", "resolution": [6.5, 6]}),
+              "resolution must be integers"),
+             (dict(simulate, space={"geometry": "torus", "resolution": [True, 6]}),
+              "resolution must be integers"),
+             (dict(simulate, space={"geometry": "interval", "resolution": [6, 6]}),
+              "interval resolution must be a flat list of exactly one entry"),
+             (dict(simulate, space={"geometry": "sphere2", "resolution": [40, 2]}),
+              "sphere2 resolution must be a flat list of exactly one entry"),
+             (dict(twisted, resolution=[]), "torus resolution must be a flat list of at least"),
+             (dict(twisted, resolution=[[3, 3]]), "torus resolution must be a flat list"),
+             (dict(twisted, resolution=[6, 6.5]), "resolution must be integers")]
+    for k, (doc, message) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2, doc
+        assert message in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2 and message in manifest["error"]
+
+
+def test_ghost_backward_span_exits_2_before_integrating(tmp_path, capsys):
+    doc = {"command": "ghost", "n": 23, "p": 0.5, "seed": 3,
+           "map": {"type": "swap", "i": 0, "j": 1}, "u0": {"kind": "constant", "value": 1.0},
+           "t_end": -1, "step": 0.01}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "t_end must be positive" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_span_whose_step_count_overflows_exits_2(tmp_path, capsys):
     doc = {"command": "simulate", "space": {"geometry": "abstract", "weights": [0.5, 0.5]},
            "kernel": {"variant": "constant", "value": 1.0}, "u0": [0.0, 1.0],

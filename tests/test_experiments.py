@@ -169,6 +169,20 @@ def test_continuity_checks_each_initial_state():
                               np.zeros(12), np.full(12, np.nan), 1.0, 1e-2)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, float("nan")])
+def test_bounded_experiments_reject_a_backward_span_before_any_work(t_end, monkeypatch):
+    # the bounds hold for t >= 0; the ghost norm and backward integration ran first before
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr("graphlim.experiments.integrate", refuse)
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        ghost_experiment(23, 0.5, 3, np.ones(23), swap_map(23, 0, 1), t_end, 1e-2)
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        continuity_experiment(uniform_space(6), ConstantKernel(1.0), ConstantKernel(0.5),
+                              np.zeros(6), np.ones(6), t_end, 1e-2)
+
+
 def test_report_verdict_recomputable_from_series(tmp_path):
     rng = np.random.Generator(np.random.Philox(9))
     space = uniform_space(8)

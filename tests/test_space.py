@@ -112,3 +112,32 @@ def test_invalid_coordinates_rejected():
         IndexSpace("interval", np.array([[1.5]]), np.array([1.0]))
     with pytest.raises(ValueError):
         IndexSpace("sphere2", np.array([[1.0, 1.0, 0.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("geometry, resolution, message", [
+    ("torus", [6.5, 6], "resolution must be integers"),
+    ("torus", [True, 6], "resolution must be integers"),
+    ("torus", [float("inf")], "resolution must be integers"),
+    ("torus", [], "torus resolution must be a flat list of at least one entry"),
+    ("torus", [[3, 3]], "torus resolution must be a flat list of at least one entry"),
+    ("interval", [3, 3], "interval resolution must be a flat list of exactly one entry"),
+    ("sphere2", [40, 2], "sphere2 resolution must be a flat list of exactly one entry"),
+])
+def test_grid_resolution_is_read_strictly(geometry, resolution, message):
+    # a plain int cast read [6.5, 6] as a 6x6 grid and [True, 6] as 1x6
+    with pytest.raises(ValueError, match=message):
+        make_grid_space(geometry, resolution)
+
+
+def test_grid_resolution_accepts_whole_numbers():
+    assert make_grid_space("torus", [6.0, np.int32(4)]).resolution == (6, 4)
+    assert make_grid_space("interval", 7).resolution == (7,)
+
+
+def test_space_copies_writable_caller_arrays():
+    coords, weights = np.array([[0.1], [0.6]]), np.array([0.5, 0.5])
+    s = IndexSpace("interval", coords, weights)
+    coords[0, 0], weights[0] = 0.9, 0.25  # the caller's arrays stay writable
+    assert s.coords[:, 0].tolist() == [0.1, 0.6] and s.weights.tolist() == [0.5, 0.5]
+    again = IndexSpace("interval", s.coords, s.weights)  # read-only inputs are shared
+    assert np.shares_memory(again.coords, s.coords) and np.shares_memory(again.weights, s.weights)

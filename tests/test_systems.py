@@ -14,6 +14,7 @@ from graphlim import (
     adjacency_matrix,
     canonical_embedding,
     discretize,
+    disjoint_union,
     from_rows,
     geodesic_kernel,
     graphop_from_weighted,
@@ -23,7 +24,8 @@ from graphlim import (
     spherical_graphop,
     uniform_space,
 )
-from graphlim import graphop, systems
+from graphlim import GeodesicKernel, IndexSpace, graphop, systems
+from graphlim.kernels import circle_distance
 from graphlim.systems import _BLOCK_ENTRIES
 
 
@@ -385,3 +387,112 @@ def test_row_sums_copy_no_entry_arrays():
         assert peak < sys.indices.size * 8, (seed, peak / (sys.indices.size * 8))
         assert np.array_equal(sums, want)
         assert not sys.weights.flags.writeable
+
+
+# Geodesic kernels on product torus grids of two or more axes build from per-axis
+# supports. The reference evaluates the max-metric ball on dense row blocks, as W
+# was defined before the per-axis predicate: same bytes on every grid shape, on the
+# grids where distances tie with delta and with the tie slack, and on the spaces that
+# fall back to the row-block builder.
+
+def max_metric_reference(kernel, space):
+    c, mu = space.coords, space.weights
+
+    def rows(lo, hi):
+        d = circle_distance(c[lo:hi, None, 0], c[None, :, 0])
+        for k in range(1, space.dim):
+            d = np.maximum(d, circle_distance(c[lo:hi, None, k], c[None, :, k]))
+        return (d <= kernel.delta + kernel._TIE_TOL).astype(np.float64) * mu
+
+    return blocked_reference_from_row_blocks(space, rows)
+
+
+GRIDS = [("torus", (30, 30), 0.15), ("torus", (60, 60), 0.1), ("torus", (6, 6), 0.2),
+         ("torus", (10, 10), 0.5), ("torus", (60, 60), 1e-9), ("torus", (7, 5, 4), 0.3),
+         ("torus", (12,), 0.25), ("interval", (37,), 0.2), ("interval", (1,), 0.1),
+         ("torus", (1, 7), 0.3), ("torus", (2, 3000), 0.01), ("torus", (10, 10), 0.2)]
+
+
+@pytest.mark.parametrize("geometry, resolution, delta", GRIDS,
+                         ids=[f"{g}{'x'.join(map(str, r))}-{d}" for g, r, d in GRIDS])
+def test_geodesic_grid_build_is_the_max_metric_reference_bytewise(geometry, resolution, delta):
+    space = make_grid_space(geometry, resolution)
+    kernel = geodesic_kernel(geometry, delta, dim=len(resolution) if geometry == "torus" else None)
+    assert_same_csr(discretize(kernel, space), max_metric_reference(kernel, space))
+
+
+def test_geodesic_fallback_spaces_are_the_max_metric_reference_bytewise():
+    grid = make_grid_space("torus", (12, 9))
+    perm = np.random.Generator(np.random.Philox(3)).permutation(grid.n)
+    points = np.random.Generator(np.random.Philox(4)).random((300, 2))
+    kernel = geodesic_kernel("torus", 0.2, dim=2)
+    for space in (IndexSpace("torus", grid.coords[perm], grid.weights[perm]),
+                  IndexSpace("torus", points, np.full(300, 1 / 300))):
+        assert systems._grid_axes(space) is None
+        assert_same_csr(discretize(kernel, space), max_metric_reference(kernel, space))
+
+
+def test_geodesic_grid_build_evaluates_no_row_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row block evaluated")
+
+    space = make_grid_space("torus", (20, 30))
+    want = discretize(geodesic_kernel("torus", 0.1, dim=2), space)
+    monkeypatch.setattr(GeodesicKernel, "eval_rows", refuse)
+    assert_same_csr(discretize(geodesic_kernel("torus", 0.1, dim=2), space), want)
+    with pytest.raises(AssertionError, match="row block"):  # one axis keeps the row builder
+        discretize(geodesic_kernel("torus", 0.1, dim=1), make_grid_space("torus", (30,)))
+
+
+@pytest.mark.parametrize("resolution, delta", [((60, 60), 0.1), ((2, 3000), 0.01)])
+def test_geodesic_grid_build_peak_memory_is_linear_in_nnz(resolution, delta):
+    # the CSR arrays the system keeps are 2 x nnz x 8 bytes; evaluating W on row
+    # blocks peaked at 4.2 x nnz x 8 (60 x 60) and 4.4 x nnz x 8 (2 x 3000)
+    space = make_grid_space("torus", resolution)
+    kernel = geodesic_kernel("torus", delta, dim=2)
+    sys, peak = traced_peak(lambda: discretize(kernel, space))
+    assert peak <= 3 * sys.indices.size * 8, peak / (sys.indices.size * 8)
+
+
+@pytest.mark.parametrize("geometry", ["interval", "torus"])
+def test_one_axis_geodesic_build_peak_memory_stays_put(geometry):
+    # one axis gains nothing from a product and keeps the row-block builder, which
+    # peaked at 4.632 x nnz x 8 here before the per-axis predicate
+    space = make_grid_space(geometry, (3000,))
+    kernel = geodesic_kernel(geometry, 0.01, dim=1 if geometry == "torus" else None)
+    sys, peak = traced_peak(lambda: discretize(kernel, space))
+    assert peak <= 4.64 * sys.indices.size * 8, peak / (sys.indices.size * 8)
+
+
+def test_system_copies_writable_caller_arrays():
+    space = make_finite_space([1, 1, 1])
+    indptr, indices = np.array([0, 1, 2, 3]), np.array([1, 0, 2])
+    weights = np.array([0.2, 0.3, 0.1])
+    sys = CoupledSystem(space, indptr, indices, weights)
+    indptr[1], indices[0], weights[0] = 0, 2, 0.5  # the caller's arrays stay writable
+    assert sys.indptr.tolist() == [0, 1, 2, 3] and sys.indices.tolist() == [1, 0, 2]
+    assert sys.weights.tolist() == [0.2, 0.3, 0.1]
+    assert not (sys.indptr.flags.writeable or sys.indices.flags.writeable
+                or sys.weights.flags.writeable)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: discretize(geodesic_kernel("torus", 0.1, dim=2), make_grid_space("torus", (40, 40))),
+    lambda: discretize(geodesic_kernel("sphere2", 0.5), make_grid_space("sphere2", (400,))),
+    lambda: sample_er(500, 0.2, 1),
+    lambda: disjoint_union([sample_er(300, 0.2, 1), sample_er(200, 0.3, 2)])[0],
+    lambda: spherical_graphop(make_grid_space("sphere2", (400,))),
+], ids=["grid", "row_blocks", "er", "union", "fibers"])
+def test_builders_hand_over_frozen_arrays(build, monkeypatch):
+    # a build whose arrays reached CoupledSystem writable would copy them: 2 x nnz x 8 bytes
+    copies = []
+    frozen = systems._frozen
+
+    def spy(a, dtype):
+        out = frozen(a, dtype)
+        copies.append(out is not a)
+        return out
+
+    monkeypatch.setattr(systems, "_frozen", spy)
+    build()
+    assert copies and not any(copies)
