@@ -127,8 +127,15 @@ def _build_state(cfg, space, field="u0") -> np.ndarray:
             state = np.full(space.n, float(_get(sub, "value", _NUMBER)))
         elif kind == "random_uniform":
             rng = np.random.Generator(np.random.Philox(_get(sub, "seed", int)))
-            state = rng.uniform(_get(sub, "low", _NUMBER, 0.0),
-                                _get(sub, "high", _NUMBER, 2.0 * np.pi), space.n)
+            low, high = _get(sub, "low", _NUMBER, 0.0), _get(sub, "high", _NUMBER, 2.0 * np.pi)
+            for name, value in (("low", low), ("high", high)):
+                if not abs(value) <= sys.float_info.max:  # False for NaN; exact for big ints
+                    raise ConfigError(f"{field}.{name}", f"expected a finite number, "
+                                                         f"got {value!r}")
+            if not abs(high - low) <= sys.float_info.max:
+                raise ConfigError(f"{field}.high", f"high - low must be finite, "
+                                                   f"got {high!r} - {low!r}")
+            state = rng.uniform(low, high, space.n)
         elif kind == "twisted":
             state = twisted_state(space, _get(sub, "q", list))
         else:

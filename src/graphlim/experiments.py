@@ -148,7 +148,8 @@ def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
         raise ValueError("initial state is not fixed by the map")
     u0 = project_fixed([imap], u0)
 
-    diff = adjacency_matrix(system) - p
+    diff = adjacency_matrix(system)
+    diff -= p
     norm_res, exact = _norm_for(space, diff, heuristic_seed=seed)
 
     traj = integrate(system, kuramoto_model(0.0, 0.0), u0, t_end, step, sample_every)

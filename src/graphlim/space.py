@@ -24,8 +24,13 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
 
     Where the conversion hands back the caller's own memory (``a`` itself or a view) and
     it is writable, the result is a copy, so the caller's array stays writable and its
-    later writes reach no space or system. A read-only input is kept, not copied.
+    later writes reach no space or system. A read-only input is kept, not copied; so is
+    a read-only zero-stride ``dtype`` vector (``np.broadcast_to`` of one value), which
+    a contiguous copy would expand to one value per entry.
     """
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.strides == (0,)
+            and not a.flags.writeable):
+        return a
     out = np.ascontiguousarray(a, dtype=dtype)
     if out.flags.writeable and (out is a or not out.flags.owndata):
         out = out.copy()

@@ -31,7 +31,10 @@ class CoupledSystem:
     increasing in neighbor index (the dynamics would sum a repeated neighbor,
     ``dense`` would keep one). A system keeps these three arrays and nothing
     per entry besides them: the row of every entry (``row_of_entry``) is
-    built only where a path reads it.
+    built only where a path reads it. The unweighted builds (``sample_er``, and
+    geodesic kernels on uniform product torus grids) store their one weight
+    once: ``weights`` is then a read-only zero-stride view (``np.broadcast_to``),
+    8 bytes in all, with the values and ``tobytes()`` of the full array.
     """
 
     space: IndexSpace
@@ -161,7 +164,21 @@ def _nonzeros(n: int, row_block):
         indptr[lo + 1:hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * n)
         indices.append(flat % n)
         values.append(block[flat])
-    return indptr, np.concatenate(indices), np.concatenate(values)
+    return indptr, _drained(indices), _drained(values)
+
+
+def _drained(parts) -> np.ndarray:
+    """``np.concatenate(parts)`` of parts of one dtype, emptying the list: each part is
+    dropped once copied, so the parts and their concatenation are held together only
+    one part at a time."""
+    out = np.empty(sum(part.size for part in parts), dtype=parts[0].dtype)
+    at = 0
+    parts.reverse()
+    while parts:
+        part = parts.pop()
+        out[at:at + part.size] = part
+        at += part.size
+    return out
 
 
 def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
@@ -188,8 +205,9 @@ def _from_axis_supports(space: IndexSpace, supports, label: str) -> CoupledSyste
     (..(b_0 m_1 + b_1) m_2 + ..) over b_k in the support of a_k, each with weight mu_j;
     expanding one axis at a time, first axis outermost, lists them in ascending order.
     Blocks of whole rows of about ``_BLOCK_ENTRIES`` entries fill preallocated CSR
-    arrays: O(nnz + n) work and memory.
+    arrays: O(nnz + n) work and memory. Uniform masses give one shared weight.
     """
+    mu = space.weights
     sizes = [p.size - 1 for p, _ in supports]
     lengths = [np.diff(p) for p, _ in supports]
     row_len = np.ones(1, dtype=np.int64)
@@ -198,7 +216,8 @@ def _from_axis_supports(space: IndexSpace, supports, label: str) -> CoupledSyste
     indptr = np.zeros(space.n + 1, dtype=np.int64)
     np.cumsum(row_len, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int64)
-    weights = np.empty(indptr[-1])
+    shared = mu.min() == mu.max()
+    weights = np.broadcast_to(mu[0], indices.shape) if shared else np.empty(indices.shape)
     for lo, hi in _row_blocks(indptr):
         digits = np.unravel_index(np.arange(lo, hi), sizes)
         cols, width = np.zeros(hi - lo, dtype=np.int64), np.ones(hi - lo, dtype=np.int64)
@@ -212,7 +231,8 @@ def _from_axis_supports(space: IndexSpace, supports, label: str) -> CoupledSyste
             cols, width = near, width * length[digit]
         a, b = indptr[lo], indptr[hi]
         indices[a:b] = cols
-        np.take(space.weights, cols, out=weights[a:b])
+        if not shared:
+            np.take(mu, cols, out=weights[a:b])
     return _sealed(space, indptr, indices, weights, label)
 
 
@@ -244,10 +264,13 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
     order, in blocks of rows of about ``_BLOCK_ENTRIES`` pairs, and each hit
     is mapped to its (row, col) by index arithmetic. The CSR arrays come from
     the sorted edge keys row * n + col, so memory stays O(edges) and no dense
-    block is ever formed. No self-loops.
+    block is ever formed; every weight is the one mass 1/n, stored once. No
+    self-loops.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if int(n) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"n={n} is too large: the edge keys row * n + col must fit in int64")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -262,15 +285,17 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
         head = r + lo
         tail = hit - first[r] + head + 1
         keys += [head * n + tail, tail * n + head]  # both orientations of every edge
-    keys = np.concatenate(keys)
+    keys = _drained(keys)
     keys.sort()
     space = uniform_space(n)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    cols = keys % n
-    del keys  # before the validation temporaries of CoupledSystem: a lower peak
-    return _sealed(space, indptr, cols, space.weights[cols], f"er(n={n},p={p},seed={seed})")
+    cols = np.remainder(keys, n, out=keys)
+    weights = np.broadcast_to(space.weights[0], cols.shape)
+    return _sealed(space, indptr, cols, weights, f"er(n={n},p={p},seed={seed})")
 
 
 def adjacency_matrix(system: CoupledSystem) -> np.ndarray:
     """Recover the kernel values w_ij / mu_j as a dense matrix."""
-    return system.dense() / system.space.weights[None, :]
+    m = system.dense()
+    m /= system.space.weights[None, :]
+    return m

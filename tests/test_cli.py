@@ -349,6 +349,41 @@ def test_span_whose_samples_exceed_memory_exits_2(tmp_path, capsys):
     assert manifest["error"] == f"ValueError: {message}"
 
 
+def test_er_whose_edge_keys_overflow_exits_2(tmp_path, capsys):
+    doc = {"command": "simulate", "er": {"n": 10**20, "p": 0.5, "seed": 1},
+           "u0": {"kind": "random_uniform", "seed": 1}, "t_end": 0.1, "step": 0.05}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    message = "n=100000000000000000000 is too large: the edge keys row * n + col must fit in int64"
+    assert message in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["error"] == f"ValueError: {message}"
+
+
+@pytest.mark.parametrize("bounds, field, status", [
+    ({"low": float("nan")}, "low", 2),
+    ({"high": float("nan")}, "high", 2),
+    ({"low": float("-inf")}, "low", 2),
+    ({"high": float("inf")}, "high", 2),
+    ({"high": 10**400}, "high", 2),  # a JSON integer past the float range
+    ({"low": -1e308, "high": 1e308}, "high", 2),  # high - low overflows
+    ({"low": 1e308, "high": -1e308}, "high", 2),
+    ({"low": -1e308, "high": 1e307}, None, 0),
+], ids=["nan_low", "nan_high", "inf_low", "inf_high", "big_int_high", "span", "negative_span",
+        "wide_finite"])
+def test_random_uniform_bounds_must_be_finite(tmp_path, capsys, bounds, field, status):
+    doc = {"command": "simulate", "space": {"geometry": "abstract", "weights": [0.5, 0.5]},
+           "kernel": {"variant": "constant", "value": 1.0},
+           "u0": {"kind": "random_uniform", "seed": 1, **bounds}, "t_end": 0.1, "step": 0.05}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == status
+    error = json.loads((out / "manifest.json").read_text()).get("error")
+    if field is None:
+        assert error is None
+    else:
+        assert error.startswith(f"ConfigError: field 'u0.{field}': ")
+        assert f"'u0.{field}'" in capsys.readouterr().err
+
+
 def test_non_integer_indices_exit_2(tmp_path, capsys):
     # numpy's int cast would run [1, 0], a shift by [1, 0] and blocks [[0, 1], [2, 3]]
     audit = {"command": "audit", "audit": "automorphism",
