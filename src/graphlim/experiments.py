@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,17 +45,7 @@ class ExperimentReport:
     notes: str = ""
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "parameters": self.parameters,
-            "times": [float(t) for t in self.times],
-            "measured": [float(v) for v in self.measured],
-            "bound": None if self.bound is None else [float(v) for v in self.bound],
-            "comparison": self.comparison,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
-        return json.dumps(doc)
+        return json.dumps(asdict(self), default=np.ndarray.tolist)
 
     @classmethod
     def from_series(cls, name: str, parameters: dict, times, measured, *,
@@ -139,11 +129,9 @@ def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
     only yields an informational report.
     """
     _check_span(t_end)
+    u0 = _initial_state(u0_symmetric, n)
     system = sample_er(n, p, seed)
     space = system.space
-    u0 = np.asarray(u0_symmetric, dtype=np.float64)
-    if u0.shape != (n,):
-        raise ValueError("initial state length does not match n")
     if l1_distance(space, pullback(imap, u0), u0) > 1e-12:
         raise ValueError("initial state is not fixed by the map")
     u0 = project_fixed([imap], u0)

@@ -18,7 +18,7 @@ returns a lower bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,12 +53,7 @@ class NormResult:
     witness_g: np.ndarray
 
     def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "method": self.method,
-            "witness_f": [int(v) for v in np.atleast_1d(self.witness_f)],
-            "witness_g": [int(v) for v in np.atleast_1d(self.witness_g)],
-        })
+        return json.dumps(asdict(self), default=lambda signs: signs.astype(np.int64).tolist())
 
 
 def _bilinear_matrix(space: IndexSpace, matrix) -> np.ndarray:
@@ -100,14 +95,17 @@ def inf_to_one_norm_exact(space: IndexSpace, matrix) -> NormResult:
     k = min(_LOW_BITS, n - 1)
     low = _sign_sums(b, range(k), np.zeros(n))
     high = _sign_sums(b, range(k, n - 1), b[:, n - 1])
-    # buf is stored twice per column below; on a 64-byte boundary its vector stores split
-    # no cache line (n = 23: 75-84 ms a scan, 97-103 ms wherever the heap misaligned it)
-    raw = np.empty(low.size + 8)
+    # buf and scores are stored every column; on a 64-byte boundary their vector stores
+    # split no cache line (n = 23: 75-84 ms a scan, 97-103 ms with buf misaligned). scores
+    # follows buf, so it starts on a boundary too when 8 divides low.size (n >= 4).
+    raw = np.empty(low.size + low.shape[1] + 8)
     start = -raw.ctypes.data % 64 // 8
     buf = raw[start:start + low.size].reshape(low.shape)
+    scores = raw[start + low.size:start + low.size + low.shape[1]]
     best_score, best_id = -1.0, 0
     for h in range(high.shape[1]):
-        scores = np.abs(np.add(low, high[:, h:h + 1], out=buf), out=buf).sum(axis=0)
+        np.abs(np.add(low, high[:, h:h + 1], out=buf), out=buf)
+        np.add.reduce(buf, axis=0, out=scores)
         c = int(np.argmax(scores))
         if scores[c] > best_score:
             best_score, best_id = float(scores[c]), c + (h << k)

@@ -39,14 +39,15 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
 
 
 def _index_array(values, what: str) -> np.ndarray:
-    """``values`` as a new int64 array. A boolean or non-integral entry raises ValueError,
-    where a plain cast would read 1.7 and True as 1."""
+    """``values`` as a new int64 array. A boolean, non-integral or out-of-int64 entry raises
+    ValueError, where a plain cast would read 1.7 and True as 1."""
     a = np.asarray(values)
     cells = () if isinstance(values, np.ndarray) else np.asarray(values, object).ravel().tolist()
     with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, caught below
         t = a.astype(np.int64, order="C") if a.dtype.kind in "iuf" else None
     if t is None or not np.array_equal(t, a) or any(isinstance(v, bool) for v in cells):
-        raise ValueError(f"{what} must be integers, not booleans or fractions")
+        raise ValueError(f"{what} must be integers, not booleans or fractions: "
+                         "whole numbers within int64")
     return t
 
 

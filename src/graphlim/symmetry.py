@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dynamics import ModelFunctions, integrate
 from .norms import l1_distance
-from .space import IndexSpace, _index_array
+from .space import IndexSpace, _index_array, uniform_space
 from .systems import CoupledSystem
 
 
@@ -58,16 +58,18 @@ def permutation_map(targets) -> IndexMap:
     return m
 
 
-def _check_index(value: int, size: int, what: str) -> None:
-    """Reject ``value`` outside [0, size): numpy would wrap a negative one."""
+def _check_index(value, size: int, what: str) -> int:
+    """``value`` as an int in [0, size): numpy would wrap a negative one."""
+    value = int(_index_array(value, what))
     if not 0 <= value < size:
         raise ValueError(f"{what} {value} is out of range [0, {size})")
+    return value
 
 
 def swap_map(n: int, i: int, j: int) -> IndexMap:
     """Transposition of nodes i and j, both in [0, n)."""
-    _check_index(i, n, "swap index i")
-    _check_index(j, n, "swap index j")
+    i = _check_index(i, n, "swap index i")
+    j = _check_index(j, n, "swap index j")
     t = np.arange(n)
     t[i], t[j] = t[j], t[i]
     return IndexMap(t)
@@ -76,7 +78,7 @@ def swap_map(n: int, i: int, j: int) -> IndexMap:
 def scaling_map(space: IndexSpace, factor: int) -> IndexMap:
     """i -> factor * i mod n; factor 2 is the classical doubling map."""
     n = space.n
-    return IndexMap((int(factor) * np.arange(n)) % n)
+    return IndexMap(int(_index_array(factor, "scaling factor") % n) * np.arange(n) % n)
 
 
 def interval_reflection_map(space: IndexSpace) -> IndexMap:
@@ -86,76 +88,66 @@ def interval_reflection_map(space: IndexSpace) -> IndexMap:
     return IndexMap(np.arange(space.n)[::-1].copy())
 
 
-def _grid_indices(space: IndexSpace) -> np.ndarray:
-    res = space.resolution
-    return np.stack(np.unravel_index(np.arange(space.n), res), axis=1)
+def _cell_map(space: IndexSpace, image) -> IndexMap:
+    """Grid map sending the cells k of the nodes, an (n, d) index array with the last axis
+    fastest, to ``image(k)`` mod the resolution."""
+    cells = np.stack(np.unravel_index(np.arange(space.n), space.resolution), axis=1)
+    return IndexMap(np.ravel_multi_index((image(cells) % space.resolution).T,
+                                         space.resolution))
 
 
 def grid_shift_map(space: IndexSpace, steps) -> IndexMap:
     """Translation by one grid cell per axis entry, wrapping around."""
     if space.geometry not in ("interval", "torus"):
         raise ValueError("shift map needs an interval or torus grid")
-    res = np.array(space.resolution)
     steps = np.atleast_1d(_index_array(steps, "shift steps"))
-    if steps.size != res.size:
+    if steps.shape != (len(space.resolution),):
         raise ValueError("steps must match the grid dimension")
-    idx = (_grid_indices(space) + steps[None, :]) % res[None, :]
-    return IndexMap(np.ravel_multi_index(idx.T, tuple(res)))
+    steps %= space.resolution
+    return _cell_map(space, lambda k: k + steps)
 
 
 def torus_flip_map(space: IndexSpace, axis: int) -> IndexMap:
     """Coordinate sign flip x_axis -> -x_axis on a torus grid, axis in [0, dim)."""
     if space.geometry != "torus":
         raise ValueError("flip map needs a torus grid")
-    res = np.array(space.resolution)
-    _check_index(axis, res.size, "flip axis")
-    idx = _grid_indices(space).copy()
-    idx[:, axis] = (res[axis] - idx[:, axis]) % res[axis]
-    return IndexMap(np.ravel_multi_index(idx.T, tuple(res)))
+    axis = _check_index(axis, len(space.resolution), "flip axis")
+    sign = np.where(np.arange(len(space.resolution)) == axis, -1, 1)
+    return _cell_map(space, lambda k: k * sign)
 
 
 def torus_rotation_map(space: IndexSpace) -> IndexMap:
     """Quarter turn (x, y) -> (-y, x) on a square 2-torus grid."""
     if space.geometry != "torus" or len(space.resolution) != 2:
         raise ValueError("rotation map needs a 2-dimensional torus grid")
-    n1, n2 = space.resolution
-    if n1 != n2:
+    if space.resolution[0] != space.resolution[1]:
         raise ValueError("rotation map needs a square grid")
-    idx = _grid_indices(space)
-    new = np.stack([(n1 - idx[:, 1]) % n1, idx[:, 0]], axis=1)
-    return IndexMap(np.ravel_multi_index(new.T, (n1, n2)))
+    return _cell_map(space, lambda k: np.stack([-k[:, 1], k[:, 0]], axis=1))
 
 
-def _band_offsets(space: IndexSpace):
+def _band_cells(space: IndexSpace):
+    """Per node: its band's population, the band's first node and its place in the band."""
     counts = np.array(space.band_counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("space has no latitude band structure")
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return counts, offsets
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(counts, counts), first, np.arange(space.n) - first
 
 
 def sphere_rotation_map(space: IndexSpace, steps: int = 1) -> IndexMap:
     """Rotation about the z axis by steps * 2*pi/g, g = gcd of band counts."""
-    counts, offsets = _band_offsets(space)
-    g = int(np.gcd.reduce(counts))
-    t = np.empty(space.n, dtype=np.int64)
-    for b, c in enumerate(counts):
-        k = np.arange(c)
-        t[offsets[b]:offsets[b + 1]] = offsets[b] + (k + steps * (c // g)) % c
-    return IndexMap(t)
+    c, first, k = _band_cells(space)
+    g = int(np.gcd.reduce(space.band_counts))
+    steps = _index_array(steps, "rotation steps") % g
+    return IndexMap(first + (k + steps * (c // g)) % c)
 
 
 def sphere_reflection_map(space: IndexSpace) -> IndexMap:
     """z -> -z on a band grid: band b pairs with its mirror band."""
-    counts, offsets = _band_offsets(space)
-    nb = counts.size
-    t = np.empty(space.n, dtype=np.int64)
-    for b, c in enumerate(counts):
-        mb = nb - 1 - b
-        if counts[mb] != c:
-            raise ValueError("band populations are not mirror-symmetric")
-        t[offsets[b]:offsets[b + 1]] = offsets[mb] + np.arange(c)
-    return IndexMap(t)
+    c, first, k = _band_cells(space)
+    if space.band_counts != space.band_counts[::-1]:
+        raise ValueError("band populations are not mirror-symmetric")
+    return IndexMap(space.n - first - c + k)  # n - first - c: the mirror band's first node
 
 
 def pullback(imap: IndexMap, state: np.ndarray) -> np.ndarray:
@@ -195,11 +187,7 @@ class AutomorphismReport:
     verdict: str
 
     def to_json(self) -> str:
-        doc = {k: getattr(self, k) for k in (
-            "invertible", "measure_preserving", "mass_discrepancy",
-            "adjacency_preserving", "adjacency_discrepancy",
-            "fiber_preserving", "fiber_discrepancy", "verdict")}
-        return json.dumps(doc)
+        return json.dumps(asdict(self))
 
 
 def _gathered_abs_max(buf: np.ndarray, keys: np.ndarray) -> float:
@@ -328,19 +316,13 @@ def _orbit_labels(generators, n: int) -> np.ndarray:
 
 
 def project_fixed(generators, state: np.ndarray) -> np.ndarray:
-    """Project onto the joint fixed space of the generated group.
-
-    Every value is replaced by the plain mean over its index orbit; the
-    result is fixed by every generator and the projection is idempotent up
-    to roundoff. All generators must be invertible. For measure-preserving
-    generators it matches :func:`FixedPointSubspace` up to roundoff.
+    """``FixedPointSubspace(generators).project(uniform_space(n), state)``: every value
+    becomes the mean over its index orbit, and an orbit-constant state comes back
+    unchanged. All generators must be invertible and act on the state's n nodes.
     """
     state = np.asarray(state, dtype=np.float64)
     n = state.shape[0]
-    labels = _orbit_labels(list(generators), n)
-    sums = np.bincount(labels, weights=state, minlength=n)
-    counts = np.bincount(labels, minlength=n)
-    return sums[labels] / counts[labels]
+    return PartitionSubspace(_orbit_labels(list(generators), n)).project(uniform_space(n), state)
 
 
 class PartitionSubspace:

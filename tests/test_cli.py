@@ -302,7 +302,10 @@ def test_loose_grid_resolutions_exit_2(tmp_path, capsys):
               "sphere2 resolution must be a flat list of exactly one entry"),
              (dict(twisted, resolution=[]), "torus resolution must be a flat list of at least"),
              (dict(twisted, resolution=[[3, 3]]), "torus resolution must be a flat list"),
-             (dict(twisted, resolution=[6, 6.5]), "resolution must be integers")]
+             (dict(twisted, resolution=[6, 6.5]), "resolution must be integers"),
+             (dict(simulate, space={"geometry": "sphere2", "resolution": [10 ** 20]}),
+              "resolution must be integers, not booleans or fractions: whole numbers within "
+              "int64")]
     for k, (doc, message) in enumerate(cases):
         out = tmp_path / f"o{k}"
         assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2, doc
@@ -401,11 +404,19 @@ def test_non_integer_indices_exit_2(tmp_path, capsys):
              (dict(audit, space=torus, map={"type": "shift", "steps": [1.9, 0]}),
               "shift steps"),
              (dict(invariance, subspace={"type": "cluster", "blocks": [[0.6, 1.2], [2, 3]]}),
-              "cluster blocks")]
+              "cluster blocks"),
+             # whole numbers past int64 exited 3 (scaling, sphere rotation) or named no range
+             (dict(audit, space=torus, map={"type": "shift", "steps": [10 ** 20, 0]}),
+              "shift steps"),
+             (dict(audit, map={"type": "permutation", "targets": [2 ** 63, 0, 2, 3]}),
+              "map targets"),
+             (dict(audit, map={"type": "scaling", "factor": 10 ** 20}), "scaling factor"),
+             (dict(audit, space={"geometry": "sphere2", "resolution": [40]},
+                   map={"type": "sphere_rotation", "steps": 10 ** 20}), "rotation steps")]
     for k, (doc, what) in enumerate(cases):
         out = tmp_path / f"o{k}"
         assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
-        message = f"{what} must be integers, not booleans or fractions"
+        message = f"{what} must be integers, not booleans or fractions: whole numbers within int64"
         assert message in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["error"] == \
             f"ValueError: {message}"
@@ -680,3 +691,18 @@ def test_bad_threads_flag_is_a_usage_error(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--threads", "x"]) == 2
     assert "argument --threads: invalid int value: 'x'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_map_parameters_past_their_period_keep_the_automorphism_verdict(tmp_path):
+    # int64 arithmetic on the raw parameter made these non-permutations: verdict "neither"
+    audit = {"command": "audit", "audit": "automorphism",
+             "kernel": {"variant": "constant", "value": 0.5},
+             "expect": "graphon_automorphism"}
+    cases = [dict(audit, space={"geometry": "interval", "resolution": [5]},
+                  map={"type": "shift", "steps": [2 ** 63 - 1]}),
+             dict(audit, space={"geometry": "interval", "resolution": [6]},
+                  map={"type": "scaling", "factor": 2 ** 62 + 1})]
+    for k, doc in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["verdict"] == "graphon_automorphism"

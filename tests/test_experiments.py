@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from graphlim import (
+    AutomorphismReport,
     ConstantKernel,
     ExperimentReport,
     MatrixKernel,
+    NormResult,
     continuity_experiment,
     discretize,
     ghost_experiment,
@@ -251,3 +253,60 @@ def test_sphere_drift_run_reports_without_verdict():
                                     t_end=2.0, step=1e-2)
     assert rep.passed is None
     assert np.max(rep.measured) <= 1e-8  # the grid rotation is exact here
+
+
+def test_ghost_checks_its_initial_state_before_any_work(monkeypatch):
+    # a NaN passed the map check (NaN > 1e-12 is False) and the exact norm ran first
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a norm")
+
+    monkeypatch.setattr("graphlim.experiments._norm_for", refuse)
+    u0 = np.ones(23)
+    u0[5] = np.nan
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        ghost_experiment(23, 0.5, 3, u0, swap_map(23, 0, 1), 1.0, 1e-2)
+    with pytest.raises(ValueError, match="does not match system size 23"):
+        ghost_experiment(23, 0.5, 3, np.ones(22), swap_map(23, 0, 1), 1.0, 1e-2)
+
+
+def test_report_json_is_the_hand_built_document_bytewise():
+    # the documents the reports wrote when each listed its keys by hand
+    def automorphism_doc(r):
+        return json.dumps({k: getattr(r, k) for k in (
+            "invertible", "measure_preserving", "mass_discrepancy",
+            "adjacency_preserving", "adjacency_discrepancy",
+            "fiber_preserving", "fiber_discrepancy", "verdict")})
+
+    def experiment_doc(r):
+        return json.dumps({
+            "name": r.name, "parameters": r.parameters,
+            "times": [float(t) for t in r.times],
+            "measured": [float(v) for v in r.measured],
+            "bound": None if r.bound is None else [float(v) for v in r.bound],
+            "comparison": r.comparison, "passed": r.passed, "notes": r.notes})
+
+    def norm_doc(r):
+        return json.dumps({
+            "value": r.value, "method": r.method,
+            "witness_f": [int(v) for v in np.atleast_1d(r.witness_f)],
+            "witness_g": [int(v) for v in np.atleast_1d(r.witness_g)]})
+
+    odd = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0]
+    for r in (AutomorphismReport(True, False, -0.0, True, math.nan, False, math.inf,
+                                 "neither"),
+              AutomorphismReport(False, True, 5e-324, False, -math.inf, True, 0.0,
+                                 "measure_preserving_only")):
+        assert r.to_json() == automorphism_doc(r)
+    params = {"resolution": (3, 4), "q": [1, 3], "nested": {"pair": (0.5, -0.0)},
+              "threshold": None, "label": "W"}
+    for r in (ExperimentReport.from_series("x", params, np.arange(6.0), odd),
+              ExperimentReport.from_series("x", params, odd, odd, threshold=1e-12),
+              ExperimentReport.from_series("x", {}, odd, odd, bound=np.array(odd),
+                                           certified=False),
+              ExperimentReport.from_series("x", {}, [], [])):
+        assert r.to_json() == experiment_doc(r)
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    for r in (NormResult(-0.0, "exact_bruteforce", signs, -signs),
+              NormResult(5e-324, "greedy_alternation", signs[:1], signs[:1]),
+              NormResult(0.0, "greedy_alternation", np.zeros(0), np.zeros(0))):
+        assert r.to_json() == norm_doc(r)

@@ -122,6 +122,8 @@ def test_invalid_coordinates_rejected():
     ("torus", [[3, 3]], "torus resolution must be a flat list of at least one entry"),
     ("interval", [3, 3], "interval resolution must be a flat list of exactly one entry"),
     ("sphere2", [40, 2], "sphere2 resolution must be a flat list of exactly one entry"),
+    ("sphere2", [10 ** 20], "resolution must be integers, not booleans or fractions: "
+                            "whole numbers within int64"),
 ])
 def test_grid_resolution_is_read_strictly(geometry, resolution, message):
     # a plain int cast read [6.5, 6] as a 6x6 grid and [True, 6] as 1x6

@@ -11,6 +11,7 @@ from graphlim import (
     FixedPointSubspace,
     ImageSubspace,
     IndexMap,
+    IndexSpace,
     MatrixKernel,
     PartitionSubspace,
     check_automorphism,
@@ -74,10 +75,13 @@ def test_index_lists_must_be_integers():
            (lambda s: grid_shift_map(space, s), [1.9, 0], "shift steps"),
            (lambda s: grid_shift_map(space, s), [True, 0], "shift steps"),
            (lambda s: grid_shift_map(space, s), [np.inf, 0], "shift steps"),
+           (lambda s: grid_shift_map(space, s), [10 ** 20, 0], "shift steps"),
+           (IndexMap, [2 ** 63, 0], "map targets"),
            (lambda b: ClusterSubspace([b, [2, 3]]), [0.6, 1.2], "cluster blocks"),
            (lambda b: ClusterSubspace([b, [2, 3]]), [0, False], "cluster blocks")]
     for build, values, what in bad:
-        with pytest.raises(ValueError, match=f"{what} must be integers"):
+        with pytest.raises(ValueError, match=f"{what} must be integers, not booleans or "
+                                             f"fractions: whole numbers within int64"):
             build(values)
     # integer lists, and floats with integer values, keep their meaning
     assert permutation_map([1, 0, 2]).targets.tolist() == [1, 0, 2]
@@ -500,7 +504,11 @@ def test_orbit_labels_match_union_find():
         want = union_find_labels(gens, n)
         assert np.array_equal(FixedPointSubspace(gens).labels, want)
         state = rng.uniform(0, 2 * np.pi, n)
-        assert np.array_equal(project_fixed(gens, state), plain_orbit_means(gens, state))
+        projected = project_fixed(gens, state)
+        assert np.array_equal(projected,
+                              FixedPointSubspace(gens).project(uniform_space(n), state))
+        assert np.max(np.abs(projected - plain_orbit_means(gens, state))) <= \
+            1e-14 * np.max(np.abs(state))
 
 
 def test_cluster_labels_match_union_find():
@@ -536,3 +544,125 @@ def test_partition_projection_is_weighted_block_mean():
     assert np.array_equal(sub.project(space, p), p)
     with pytest.raises(ValueError):
         sub.project(uniform_space(3), u[:3])
+
+
+# The map constructors as they were before they shared one cell transform and one band
+# transform, kept as references: each grid map recomputed its own cell indices, and the
+# sphere maps looped over the latitude bands.
+def reference_cells(space):
+    return np.stack(np.unravel_index(np.arange(space.n), space.resolution), axis=1)
+
+
+def reference_shift(space, steps):
+    res = np.array(space.resolution)
+    idx = (reference_cells(space) + np.atleast_1d(steps)[None, :]) % res[None, :]
+    return np.ravel_multi_index(idx.T, tuple(res))
+
+
+def reference_flip(space, axis):
+    res = np.array(space.resolution)
+    idx = reference_cells(space).copy()
+    idx[:, axis] = (res[axis] - idx[:, axis]) % res[axis]
+    return np.ravel_multi_index(idx.T, tuple(res))
+
+
+def reference_rotation(space):
+    n1, n2 = space.resolution
+    idx = reference_cells(space)
+    return np.ravel_multi_index(np.stack([(n1 - idx[:, 1]) % n1, idx[:, 0]], axis=1).T,
+                                (n1, n2))
+
+
+def reference_scaling(space, factor):
+    return (int(factor) * np.arange(space.n)) % space.n
+
+
+def reference_bands(space):
+    counts = np.array(space.band_counts, dtype=np.int64)
+    return counts, np.concatenate([[0], np.cumsum(counts)])
+
+
+def reference_sphere_rotation(space, steps):
+    counts, offsets = reference_bands(space)
+    g = int(np.gcd.reduce(counts))
+    t = np.empty(space.n, dtype=np.int64)
+    for b, c in enumerate(counts):
+        t[offsets[b]:offsets[b + 1]] = offsets[b] + (np.arange(c) + steps * (c // g)) % c
+    return t
+
+
+def reference_sphere_reflection(space):
+    counts, offsets = reference_bands(space)
+    t = np.empty(space.n, dtype=np.int64)
+    for b, c in enumerate(counts):
+        if counts[counts.size - 1 - b] != c:
+            raise ValueError("band populations are not mirror-symmetric")
+        t[offsets[b]:offsets[b + 1]] = offsets[counts.size - 1 - b] + np.arange(c)
+    return t
+
+
+def same_targets(imap, reference):
+    return imap.targets.tobytes() == IndexMap(reference).targets.tobytes()
+
+
+GRIDS = [(5,), (8,), (1,), (6, 6), (4, 7), (3, 4, 5), (1, 1), (60, 60), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("resolution", GRIDS)
+def test_grid_maps_match_the_reference_constructors(resolution):
+    rng = np.random.Generator(np.random.Philox(41))
+    d = len(resolution)
+    geometries = ["interval", "torus"] if d == 1 else ["torus"]
+    step_sets = [[0] * d, [-1] * d, [1] * d, [2 ** 40] * d, [-(2 ** 40)] * d,
+                 rng.integers(-9, 10, d).tolist(), rng.integers(-10 ** 6, 10 ** 6, d).tolist()]
+    for geometry in geometries:
+        space = make_grid_space(geometry, resolution)
+        for steps in step_sets:
+            assert same_targets(grid_shift_map(space, steps), reference_shift(space, steps))
+        for factor in (0, 1, -1, 2, -2, 7, 2 ** 40):
+            assert same_targets(scaling_map(space, factor), reference_scaling(space, factor))
+        if geometry == "torus":
+            for axis in range(d):
+                assert same_targets(torus_flip_map(space, axis), reference_flip(space, axis))
+            if d == 2 and resolution[0] == resolution[1]:
+                assert same_targets(torus_rotation_map(space), reference_rotation(space))
+
+
+@pytest.mark.parametrize("target, order", [(40, 1), (468, 1), (2016, 1), (120, 4), (7, 1),
+                                           (100, 1)])
+def test_sphere_maps_match_the_reference_constructors(target, order):
+    space = make_grid_space("sphere2", (target,), symmetry_order=order)
+    for steps in list(range(-1, 25)) + [100, 997, 1000, -1000]:
+        assert same_targets(sphere_rotation_map(space, steps),
+                            reference_sphere_rotation(space, steps))
+    assert same_targets(sphere_reflection_map(space), reference_sphere_reflection(space))
+    lopsided = IndexSpace("sphere2", space.coords, space.weights,
+                          band_counts=space.band_counts[1:] + space.band_counts[:1])
+    for build in (sphere_reflection_map, reference_sphere_reflection):
+        with pytest.raises(ValueError, match="band populations are not mirror-symmetric"):
+            build(lopsided)
+
+
+def test_periodic_map_parameters_are_reduced_like_python_integers():
+    # int64 arithmetic on the raw parameter wrapped: a shift by 2**63 - 1 on 5 cells gave
+    # [2, 2, 3, 4, 0], and the scaling by 2**62 + 1 on 6 nodes [0, 5, 0, 5, 4, 3]
+    interval = make_grid_space("interval", (5,))
+    big = 2 ** 63 - 1
+    assert grid_shift_map(interval, [big]).targets.tolist() == [(i + big) % 5 for i in range(5)]
+    torus = make_grid_space("torus", (4, 7))
+    cells = [(a, b) for a in range(4) for b in range(7)]
+    assert grid_shift_map(torus, [big, -big - 1]).targets.tolist() == \
+        [(a + big) % 4 * 7 + (b - big - 1) % 7 for a, b in cells]
+    for factor in (2 ** 62 + 1, big, -big - 1):
+        assert scaling_map(uniform_space(6), factor).targets.tolist() == \
+            [factor * i % 6 for i in range(6)]
+    sphere = make_grid_space("sphere2", (120,), symmetry_order=4)
+    counts = sphere.band_counts
+    firsts = [sum(counts[:b]) for b in range(len(counts))]
+    assert sphere_rotation_map(sphere, big).targets.tolist() == \
+        [f + (k + big * (c // 4)) % c for f, c in zip(firsts, counts) for k in range(c)]
+    for build in (lambda: scaling_map(uniform_space(6), 10 ** 20),
+                  lambda: sphere_rotation_map(sphere, 10 ** 20),
+                  lambda: scaling_map(uniform_space(6), 2.5)):
+        with pytest.raises(ValueError, match="whole numbers within int64"):
+            build()
