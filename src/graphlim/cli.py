@@ -112,7 +112,10 @@ def _build_map(cfg, space, field="map") -> IndexMap:
     kind = _get(sub, "type", str)
     if kind not in _MAPS:
         raise ConfigError(f"{field}.type", f"unknown map type {kind!r}")
-    return _MAPS[kind](sub, space)
+    imap = _MAPS[kind](sub, space)
+    if imap.n != space.n:
+        raise ConfigError(field, f"map acts on {imap.n} nodes, the space has {space.n}")
+    return imap
 
 
 def _build_state(cfg, space, field="u0") -> np.ndarray:
@@ -219,7 +222,7 @@ def _build_subspace(cfg, space):
     sub = _get(cfg, "subspace", dict)
     stype = _get(sub, "type", str)
     if stype == "fixed":
-        return FixedPointSubspace([_build_map({"map": m}, space)
+        return FixedPointSubspace([_build_map({"maps": m}, space, "maps")
                                    for m in _get(sub, "maps", list)])
     if stype == "image":
         return ImageSubspace(_build_map(sub, space))

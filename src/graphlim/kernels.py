@@ -8,13 +8,12 @@ immutable. Each defines W once, in ``_table``: points x (a, d) and y (b, d)
 give the (a, b) matrix of W(x_i, y_j). The pointwise ``evaluate``, the row
 blocks ``eval_rows`` that discretization reads, and ``matrix`` all read
 that one definition. ``kernel_from_spec`` is the one parser of kernel
-specs, behind both ``kernel_from_json`` and the CLI.
+specs, the CLI's included.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 
@@ -275,11 +274,3 @@ def kernel_from_spec(spec: dict) -> Kernel:
         return GeodesicKernel(get("geometry", str), get("delta", number),
                               dim=get("dim", int, None))
     raise ConfigError("variant", f"unknown kernel variant {variant!r}")
-
-
-def kernel_from_json(text: str) -> Kernel:
-    """Parse a JSON kernel spec; see :func:`kernel_from_spec`."""
-    spec = json.loads(text)
-    if not isinstance(spec, dict):
-        raise ValueError("kernel spec must be a JSON object")
-    return kernel_from_spec(spec)

@@ -353,16 +353,25 @@ class PartitionSubspace:
         return base + shift[labels] / mass[labels]
 
 
+class _MapPartition(PartitionSubspace):
+    """The partition of maps on ``labels.size`` nodes: no padding, a space of another n raises."""
+
+    def project(self, space: IndexSpace, state: np.ndarray) -> np.ndarray:
+        if space.n != self.labels.size:
+            raise ValueError(f"the maps act on {self.labels.size} nodes, the space has {space.n}")
+        return super().project(space, state)
+
+
 def FixedPointSubspace(generators) -> PartitionSubspace:
     """States fixed by every generator, u[phi(i)] = u[i]: constant on the orbits."""
     generators = list(generators)
-    n = generators[0].n if generators else 0
-    return PartitionSubspace(_orbit_labels(generators, n))
+    n = generators[0].n if generators else 0  # no generators: every state, any n
+    return (_MapPartition if generators else PartitionSubspace)(_orbit_labels(generators, n))
 
 
 def ImageSubspace(imap: IndexMap) -> PartitionSubspace:
     """States that factor through a map, u = v o phi: constant on the level sets of phi."""
-    return PartitionSubspace(imap.targets)
+    return _MapPartition(imap.targets)
 
 
 def ClusterSubspace(blocks) -> PartitionSubspace:

@@ -32,7 +32,7 @@ class CoupledSystem:
     ``dense`` would keep one). A system keeps these three arrays and nothing
     per entry besides them: the row of every entry (``row_of_entry``) is
     built only where a path reads it. The unweighted builds (``sample_er``, and
-    geodesic kernels on uniform product torus grids) store their one weight
+    geodesic kernels on uniform interval, circle and torus grids) store their one weight
     once: ``weights`` is then a read-only zero-stride view (``np.broadcast_to``),
     8 bytes in all, with the values and ``tobytes()`` of the full array.
     """
@@ -197,60 +197,54 @@ def _grid_axes(space: IndexSpace):
     return axes if all(map(np.array_equal, (m.ravel() for m in mesh), columns)) else None
 
 
-def _from_axis_supports(space: IndexSpace, supports, label: str) -> CoupledSystem:
-    """System with W = 1 exactly on the products of per-axis supports of a row-major grid.
+def _axis_tables(kernel: GeodesicKernel, space: IndexSpace):
+    """Per axis of a product grid (``_grid_axes``), the (m, L) table of each value's
+    sorted neighbours under ``kernel._near``; None unless every value has L of them."""
+    axes, tables = _grid_axes(space), []
+    for u in axes or ():
+        ptr, near, _ = _nonzeros(u.size, lambda lo, hi: kernel._near(u[lo:hi, None], u))
+        if np.any(np.diff(ptr) != ptr[1]):
+            return None
+        tables.append(near.reshape(u.size, -1))
+    return axes and tables
 
-    ``supports`` holds per axis the CSR ``(indptr, indices)`` of its values' sorted
-    neighbour lists. Row (a_0, .., a_{d-1}) (last axis fastest) keeps the columns
-    (..(b_0 m_1 + b_1) m_2 + ..) over b_k in the support of a_k, each with weight mu_j;
-    expanding one axis at a time, first axis outermost, lists them in ascending order.
-    Blocks of whole rows of about ``_BLOCK_ENTRIES`` entries fill preallocated CSR
-    arrays: O(nnz + n) work and memory. Uniform masses give one shared weight.
-    """
-    mu = space.weights
-    sizes = [p.size - 1 for p, _ in supports]
-    lengths = [np.diff(p) for p, _ in supports]
-    row_len = np.ones(1, dtype=np.int64)
-    for length in lengths:
-        row_len = np.multiply.outer(row_len, length).reshape(-1)
-    indptr = np.zeros(space.n + 1, dtype=np.int64)
-    np.cumsum(row_len, out=indptr[1:])
+
+def _from_axis_tables(space: IndexSpace, tables, label: str) -> CoupledSystem:
+    """System with W = 1 exactly on the products of per-axis neighbour tables: row
+    (a_0, .., a_{d-1}) of the row-major grid keeps the columns (..(b_0 m_1 + b_1) m_2 + ..)
+    over b_k in row a_k of table k, a broadcast Horner sum that lists them in ascending
+    order, each with weight mu_j. All rows have one length, so blocks of whole rows fill
+    preallocated CSR arrays in O(nnz + n). Uniform masses give one shared weight."""
+    mu, n = space.weights, space.n
+    sizes, lengths = zip(*(t.shape for t in tables))
+    indptr = np.arange(n + 1, dtype=np.int64) * int(np.prod(lengths))
     indices = np.empty(indptr[-1], dtype=np.int64)
     shared = mu.min() == mu.max()
     weights = np.broadcast_to(mu[0], indices.shape) if shared else np.empty(indices.shape)
     for lo, hi in _row_blocks(indptr):
-        digits = np.unravel_index(np.arange(lo, hi), sizes)
-        cols, width = np.zeros(hi - lo, dtype=np.int64), np.ones(hi - lo, dtype=np.int64)
-        for (ptr, idx), m, length, digit in zip(supports, sizes, lengths, digits):
-            span = np.repeat(length[digit], width)  # entries each partial column becomes
-            ends = np.cumsum(span)
-            near = np.arange(ends[-1])  # each entry's place in idx, then its neighbour there
-            near -= np.repeat(ends - span - np.repeat(ptr[digit], width), span)
-            near = idx[near]
-            near += np.repeat(cols * m, span)
-            cols, width = near, width * length[digit]
-        a, b = indptr[lo], indptr[hi]
-        indices[a:b] = cols
+        cols = np.zeros((hi - lo, 1), dtype=np.int64)
+        for table, m, digit in zip(tables, sizes, np.unravel_index(np.arange(lo, hi), sizes)):
+            cols = (cols[:, :, None] * m + table[digit][:, None, :]).reshape(hi - lo, -1)
+        indices.reshape(n, -1)[lo:hi] = cols
         if not shared:
-            np.take(mu, cols, out=weights[a:b])
+            np.take(mu, cols, out=weights.reshape(n, -1)[lo:hi])
     return _sealed(space, indptr, indices, weights, label)
 
 
 def discretize(kernel: Kernel, space: IndexSpace, label: str = "") -> CoupledSystem:
     """Quadrature rows w_ij = W(x_i, x_j) mu_j; exact zeros are dropped.
 
-    A geodesic kernel on a product grid of two or more torus axes builds from its
-    per-axis supports in O(nnz + n); every other kernel and space evaluates W on row
-    blocks. Both give the same bytes.
+    A geodesic kernel on an interval, circle or torus grid where each axis value has as
+    many neighbours as the others builds from per-axis tables (``_from_axis_tables``);
+    every other kernel and space, the sphere included, evaluates W on row blocks. Both
+    give the same bytes.
     """
     kernel.check_space(space)
     label = label or "graphon"
-    axes = (isinstance(kernel, GeodesicKernel) and kernel.geometry == "torus" and space.dim > 1
-            and _grid_axes(space))
-    if axes:
-        supports = [_nonzeros(u.size, lambda lo, hi, u=u: kernel._near(u[lo:hi, None], u))[:2]
-                    for u in axes]
-        return _from_axis_supports(space, supports, label)
+    tables = (isinstance(kernel, GeodesicKernel) and kernel.geometry != "sphere2"
+              and _axis_tables(kernel, space))
+    if tables:
+        return _from_axis_tables(space, tables, label)
     mu = space.weights
     return _from_row_blocks(space, lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu, label)
 

@@ -693,6 +693,31 @@ def test_bad_threads_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_maps_of_another_size_are_config_errors(tmp_path, capsys):
+    # a 3-target permutation on a 5-node system: the fixed subspace used to exit 1
+    # (a failed comparison) and the image subspace 0 with passed: true
+    short = {"type": "permutation", "targets": [1, 0, 2]}
+    er = {"er": {"n": 5, "p": 0.5, "seed": 1}}
+    invariance = dict(er, command="audit", audit="invariance",
+                      u0={"kind": "constant", "value": 1.0}, t_end=0.1, step=0.01,
+                      threshold=1e-10)
+    cases = [(dict(invariance, subspace={"type": "fixed", "maps": [short]}), "maps"),
+             (dict(invariance, subspace={"type": "image", "map": short}), "map"),
+             (dict(er, command="audit", audit="automorphism", map=short), "map"),
+             (dict(er, command="audit", audit="equivariance", map=short,
+                   u0={"kind": "constant", "value": 1.0}, t_end=0.1, step=0.01), "map"),
+             ({"command": "ghost", "n": 5, "p": 0.5, "seed": 1, "map": short,
+               "u0": {"kind": "constant", "value": 1.0}, "t_end": 0.1, "step": 0.01}, "map")]
+    for k, (doc, field) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2, doc
+        message = f"field {field!r}: map acts on 3 nodes, the space has 5"
+        assert message in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2 and manifest["error"] == f"ConfigError: {message}"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_map_parameters_past_their_period_keep_the_automorphism_verdict(tmp_path):
     # int64 arithmetic on the raw parameter made these non-permutations: verdict "neither"
     audit = {"command": "audit", "audit": "automorphism",

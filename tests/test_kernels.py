@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from graphlim import (
     MatrixKernel,
     canonical_embedding,
     geodesic_kernel,
-    kernel_from_json,
     kernel_from_spec,
     make_finite_space,
     make_grid_space,
@@ -261,7 +261,7 @@ def test_kernel_values_out_of_domain_name_the_field():
 
 
 def test_kernel_spec_parser():
-    k = kernel_from_json('{"variant": "canonical", "adjacency": [[0, 1], [1, 0]]}')
+    k = kernel_from_spec(json.loads('{"variant": "canonical", "adjacency": [[0, 1], [1, 0]]}'))
     assert isinstance(k, BlockKernel) and np.array_equal(k.values, [[0, 1], [1, 0]])
     g = kernel_from_spec({"variant": "geodesic", "geometry": "torus", "delta": 0.1})
     assert g.dim == 2

@@ -443,6 +443,28 @@ def test_invariance_audit_rejects_state_outside_subspace():
         invariance_audit(sys, kuramoto_model(), sub, u0, 1.0, 1e-2)
 
 
+def test_map_subspaces_reject_a_space_of_another_size():
+    # a map on 4 nodes used to pad a 5-node space with a singleton block, where
+    # project_fixed with the same map raised
+    state = np.arange(5.0)
+    for sub in (FixedPointSubspace([swap_map(4, 0, 1)]), ImageSubspace(swap_map(4, 0, 1)),
+                FixedPointSubspace([identity_map(6)]), ImageSubspace(identity_map(6))):
+        with pytest.raises(ValueError, match="the maps act on [46] nodes, the space has 5"):
+            sub.project(uniform_space(5), state)
+        with pytest.raises(ValueError, match="the maps act on [46] nodes, the space has 5"):
+            subspace_distance(uniform_space(5), sub, state)
+    with pytest.raises(ValueError, match="generator size mismatch"):
+        project_fixed([swap_map(4, 0, 1)], state)
+    fitting = FixedPointSubspace([swap_map(5, 0, 1)]).project(uniform_space(5), state)
+    assert fitting.tolist() == [0.5, 0.5, 2.0, 3.0, 4.0]
+    assert ImageSubspace(IndexMap([0, 0, 2, 3, 4])).project(uniform_space(5), state).tolist() \
+        == [0.5, 0.5, 2.0, 3.0, 4.0]
+    # clusters keep their padding, and no generators fix every state of any size
+    assert ClusterSubspace([[0, 1]]).project(uniform_space(5), state).tolist() == \
+        [0.5, 0.5, 2.0, 3.0, 4.0]
+    assert FixedPointSubspace([]).project(uniform_space(5), state).tolist() == state.tolist()
+
+
 def test_subspace_distance_zero_on_members():
     space = uniform_space(6)
     sub = ClusterSubspace([np.array([0, 1, 2])])

@@ -402,6 +402,8 @@ UNWEIGHTED = {
     "er": lambda: sample_er(2000, 0.1, 1),
     "torus": lambda: discretize(geodesic_kernel("torus", 0.1, dim=2),
                                 make_grid_space("torus", (60, 60))),
+    "interval": lambda: discretize(geodesic_kernel("interval", 0.01),
+                                   make_grid_space("interval", (3000,))),
 }
 
 
@@ -512,11 +514,11 @@ def test_row_sums_copy_no_entry_arrays():
         assert not sys.weights.flags.writeable
 
 
-# Geodesic kernels on product torus grids of two or more axes build from per-axis
-# supports. The reference evaluates the max-metric ball on dense row blocks, as W
-# was defined before the per-axis predicate: same bytes on every grid shape, on the
-# grids where distances tie with delta and with the tie slack, and on the spaces that
-# fall back to the row-block builder.
+# Geodesic kernels on interval, circle and torus grids build from per-axis neighbour
+# tables. The reference evaluates the max-metric ball on dense row blocks, as W was
+# defined before the per-axis predicate: same bytes on every grid shape, on the grids
+# where distances tie with delta and with the tie slack, and on the spaces that fall
+# back to the row-block builder.
 
 def max_metric_reference(kernel, space):
     c, mu = space.coords, space.weights
@@ -533,7 +535,8 @@ def max_metric_reference(kernel, space):
 GRIDS = [("torus", (30, 30), 0.15), ("torus", (60, 60), 0.1), ("torus", (6, 6), 0.2),
          ("torus", (10, 10), 0.5), ("torus", (60, 60), 1e-9), ("torus", (7, 5, 4), 0.3),
          ("torus", (12,), 0.25), ("interval", (37,), 0.2), ("interval", (1,), 0.1),
-         ("torus", (1, 7), 0.3), ("torus", (2, 3000), 0.01), ("torus", (10, 10), 0.2)]
+         ("torus", (1, 7), 0.3), ("torus", (2, 3000), 0.01), ("torus", (10, 10), 0.2),
+         ("torus", (9, 11), 0.45), ("torus", (3, 3, 3, 3), 0.34), ("interval", (500,), 0.5)]
 
 
 @pytest.mark.parametrize("geometry, resolution, delta", GRIDS,
@@ -559,12 +562,30 @@ def test_geodesic_grid_build_evaluates_no_row_block(monkeypatch):
     def refuse(*args):
         raise AssertionError("row block evaluated")
 
-    space = make_grid_space("torus", (20, 30))
-    want = discretize(geodesic_kernel("torus", 0.1, dim=2), space)
+    builds = [(geodesic_kernel("torus", 0.1, dim=2), make_grid_space("torus", (20, 30))),
+              (geodesic_kernel("torus", 0.1, dim=1), make_grid_space("torus", (30,))),
+              (geodesic_kernel("interval", 0.1), make_grid_space("interval", (30,)))]
+    wants = [discretize(kernel, space) for kernel, space in builds]
     monkeypatch.setattr(GeodesicKernel, "eval_rows", refuse)
-    assert_same_csr(discretize(geodesic_kernel("torus", 0.1, dim=2), space), want)
-    with pytest.raises(AssertionError, match="row block"):  # one axis keeps the row builder
-        discretize(geodesic_kernel("torus", 0.1, dim=1), make_grid_space("torus", (30,)))
+    for (kernel, space), want in zip(builds, wants):
+        assert_same_csr(discretize(kernel, space), want)
+
+
+def test_unequal_axis_neighbour_counts_take_the_row_block_builder(monkeypatch):
+    # a hand-built product grid with uneven axis values: 0.0 has three neighbours on
+    # its axis within 0.2, 0.5 has two, so no rectangular table exists
+    axes = (np.array([0.0, 0.05, 0.1, 0.5, 0.7]), np.array([0.0, 0.25, 0.5, 0.6, 0.75]))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    space = IndexSpace("torus", np.stack([m.ravel() for m in mesh], axis=1), np.full(25, 0.04))
+    kernel = geodesic_kernel("torus", 0.2, dim=2)
+    assert systems._grid_axes(space) is not None and systems._axis_tables(kernel, space) is None
+    rows = []
+    eval_rows = GeodesicKernel.eval_rows
+    monkeypatch.setattr(GeodesicKernel, "eval_rows",
+                        lambda self, *args: rows.append(args) or eval_rows(self, *args))
+    sys = discretize(kernel, space)
+    assert rows and sys.weights.strides == (8,)
+    assert_same_csr(sys, max_metric_reference(kernel, space))
 
 
 @pytest.mark.parametrize("resolution, delta", [((60, 60), 0.1), ((2, 3000), 0.01)])
@@ -579,13 +600,12 @@ def test_geodesic_grid_build_peak_memory_is_linear_in_nnz(resolution, delta):
 
 @pytest.mark.parametrize("geometry", ["interval", "torus"])
 def test_one_axis_geodesic_build_peak_memory_stays_put(geometry):
-    # one axis gains nothing from a product and keeps the row-block builder: 3.27 x nnz
-    # x 8 with each block dropped once copied (the bound is that plus 10%), 4.27 while
-    # the block lists outlived their concatenation, 4.632 before the per-axis predicate
+    # the neighbour table build and the system's columns peak at 2.52 x nnz x 8 (the
+    # bound is that plus 10%); traced on a second call, past lazy numpy imports
     space = make_grid_space(geometry, (3000,))
     kernel = geodesic_kernel(geometry, 0.01, dim=1 if geometry == "torus" else None)
-    sys, peak = traced_peak(lambda: discretize(kernel, space))
-    assert peak <= 3.6 * sys.indices.size * 8, peak / (sys.indices.size * 8)
+    sys, _, peak = warm_traced(lambda: discretize(kernel, space))
+    assert peak <= 2.78 * sys.indices.size * 8, peak / (sys.indices.size * 8)
 
 
 def test_system_copies_writable_caller_arrays():
