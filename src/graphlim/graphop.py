@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateFiberError
 from .kernels import _unit_symmetric
 from .space import IndexSpace
-from .systems import CoupledSystem, _from_row_blocks
+from .systems import CoupledSystem, _dense_blocks, _from_row_blocks, _sealed
 
 
 def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> CoupledSystem:
@@ -58,17 +58,27 @@ def spherical_graphop(space: IndexSpace, band_halfwidth: float | None = None,
     eps = band_halfwidth if band_halfwidth is not None else 1.5 * _max_grid_spacing(space)
     if not eps > 0:
         raise ValueError("band_halfwidth must be positive")
-    coords, mu = space.coords, space.weights
-    def fibers(lo, hi):
+    coords, mu, n = space.coords, space.weights, space.n
+    # pass 1 keeps the bit-packed band (n^2/8 bytes), row lengths and masses; pass 2 fills the CSR
+    blocks = _dense_blocks(n)
+    indptr, mass, packed = np.zeros(n + 1, dtype=np.int64), np.empty(n), []
+    for lo, hi in blocks:
         # one gemv per row, the bits of coords @ coords[i]; a gemm rounds some dots otherwise
         dots = coords @ coords[lo:hi, :, None]
         band = np.abs(dots, out=dots)[..., 0] <= eps
-        mass = [math.fsum(mu[row].tolist()) or 1.0 for row in band]  # exactly rounded; empty: 1
-        return np.divide(mu, np.array(mass)[:, None], out=np.zeros(band.shape), where=band)
-    system = _from_row_blocks(space, fibers, label)
-    empty = np.flatnonzero(np.diff(system.indptr) == 0).tolist()
+        mass[lo:hi] = [math.fsum(mu[row].tolist()) for row in band]  # exactly rounded
+        indptr[lo + 1:hi + 1] = np.count_nonzero(band, axis=1)
+        packed.append(np.packbits(band))
+    empty = np.flatnonzero(indptr[1:] == 0).tolist()
     if empty:
         raise DegenerateFiberError(
             f"band halfwidth {eps} leaves {len(empty)} empty fibers", nodes=empty
         )
-    return system
+    np.cumsum(indptr, out=indptr)
+    indices, weights = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    for (lo, hi), bits in zip(blocks, packed):
+        flat = np.flatnonzero(np.unpackbits(bits, count=(hi - lo) * n).view(bool))  # row-major
+        at = slice(indptr[lo], indptr[hi])
+        np.remainder(flat, n, out=indices[at])
+        np.divide(mu[indices[at]], mass[lo + flat // n], out=weights[at])
+    return _sealed(space, indptr, indices, weights, label)

@@ -148,17 +148,21 @@ def _sealed(space: IndexSpace, indptr, indices, weights, label: str) -> CoupledS
     return CoupledSystem(space, indptr, indices, weights, label=label)
 
 
+def _dense_blocks(n: int):
+    """(lo, hi) ranges of whole rows of n dense slots, about ``_BLOCK_ENTRIES`` slots each."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
 def _nonzeros(n: int, row_block):
     """CSR ``(indptr, indices, values)`` of the dense rows ``row_block(lo, hi)``, asked in order.
 
     Rows come in blocks of about ``_BLOCK_ENTRIES`` dense entries. Exact zeros
     are dropped; the flat row-major positions of the rest sort each row by neighbor.
     """
-    step = max(1, _BLOCK_ENTRIES // n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices, values = [], []
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
+    for lo, hi in _dense_blocks(n):
         block = row_block(lo, hi).ravel()
         flat = np.flatnonzero(block != 0)
         indptr[lo + 1:hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * n)
@@ -167,11 +171,12 @@ def _nonzeros(n: int, row_block):
     return indptr, _drained(indices), _drained(values)
 
 
-def _drained(parts) -> np.ndarray:
-    """``np.concatenate(parts)`` of parts of one dtype, emptying the list: each part is
-    dropped once copied, so the parts and their concatenation are held together only
-    one part at a time."""
-    out = np.empty(sum(part.size for part in parts), dtype=parts[0].dtype)
+def _drained(parts, out=None) -> np.ndarray:
+    """``np.concatenate(parts)`` of parts of one dtype, into ``out`` if given, emptying the
+    list: each part is dropped once copied, so the parts and their concatenation are held
+    together only one part at a time."""
+    if out is None:
+        out = np.empty(sum(part.size for part in parts), dtype=parts[0].dtype)
     at = 0
     parts.reverse()
     while parts:
@@ -190,7 +195,7 @@ def _grid_axes(space: IndexSpace):
     """The sorted distinct coordinates of each axis when ``space`` is their row-major
     product grid (last axis fastest, as ``make_grid_space`` builds it), else None."""
     columns = space.coords.T
-    axes = [np.unique(c) for c in columns]
+    axes = [u[np.concatenate([[True], np.diff(u) != 0])] for u in np.sort(columns)]
     if np.prod([u.size for u in axes], dtype=np.float64) != space.n:  # no int64 wraparound
         return None
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -268,18 +273,22 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
-    step = max(1, _BLOCK_ENTRIES // n)
-    keys = []
-    for lo in range(0, n, step):
+    upper = []
+    for lo, hi in _dense_blocks(n):
         # pair (i, j), i < j, of rows lo..hi-1 is draw first[i - lo] + j - i - 1 of the block
-        i = np.arange(lo, min(n, lo + step))
+        i = np.arange(lo, hi)
         first = np.concatenate([[0], np.cumsum(n - 1 - i)])
         hit = np.flatnonzero(rng.random(first[-1]) < p)
         r = np.searchsorted(first, hit, side="right") - 1
         head = r + lo
         tail = hit - first[r] + head + 1
-        keys += [head * n + tail, tail * n + head]  # both orientations of every edge
-    keys = _drained(keys)
+        upper.append(head * n + tail)  # each edge once, tail > head
+    m = sum(part.size for part in upper)
+    keys = np.empty(2 * m, dtype=np.int64)  # both orientations of every edge
+    _drained(upper, out=keys[:m])
+    for lo in range(0, m, _BLOCK_ENTRIES):  # the transposes tail * n + head, block by block
+        head, tail = np.divmod(keys[lo:min(m, lo + _BLOCK_ENTRIES)], n)
+        keys[m + lo:m + lo + head.size] = tail * n + head
     keys.sort()
     space = uniform_space(n)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)

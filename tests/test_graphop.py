@@ -22,6 +22,7 @@ from graphlim import (
     sphere_rotation_map,
     uniform_space,
 )
+from graphlim import systems
 
 
 def four_vertex_system():
@@ -118,18 +119,22 @@ def test_spherical_fiber_of_pole_sits_near_equator():
     assert abs(w.sum() - 1.0) <= 1e-12
 
 
-def test_spherical_graphop_degenerate_fiber():
+def test_spherical_graphop_degenerate_fiber(monkeypatch):
+    default_block = systems._BLOCK_ENTRIES
+    # (468, 12) and (1000, 1) at 0.005 leave 24 and 4 empty fibers among full ones
     for resolution, order, halfwidth in ((60, 1, 1e-6), (40, 1, 0.05), (120, 4, 0.05),
-                                         (2016, 12, 1e-6)):
+                                         (2016, 12, 1e-6), (468, 12, 0.005), (1000, 1, 0.005)):
         space = make_grid_space("sphere2", (resolution,), symmetry_order=order)
-        with pytest.raises(DegenerateFiberError) as err:
-            spherical_graphop(space, band_halfwidth=halfwidth)
         # the nodes with an empty band in the dense matrix of the fibers' defining dot products
         dots = np.stack([space.coords @ x for x in space.coords])
         want = np.flatnonzero(~np.any(np.abs(dots) <= halfwidth, axis=1)).tolist()
-        assert len(err.value.nodes) > 0
-        assert list(err.value.nodes) == want
-        assert str(err.value) == f"band halfwidth {halfwidth} leaves {len(want)} empty fibers"
+        assert 0 < len(want) < space.n
+        for block in (default_block, 64, 1000):  # the default and blocks of one or a few rows
+            monkeypatch.setattr(systems, "_BLOCK_ENTRIES", block)
+            with pytest.raises(DegenerateFiberError) as err:
+                spherical_graphop(space, band_halfwidth=halfwidth)
+            assert list(err.value.nodes) == want
+            assert str(err.value) == f"band halfwidth {halfwidth} leaves {len(want)} empty fibers"
 
 
 @pytest.mark.parametrize("halfwidth", [0.0, -0.1, float("nan")])

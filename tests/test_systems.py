@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -311,11 +314,18 @@ def reference_spherical_graphop(space, eps=None):
     return from_rows(space, rows)
 
 
+# the default block size and two small ones, which cut the rows into blocks of one or a few
+BLOCK_SIZES = (_BLOCK_ENTRIES, 64, 1000)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 23, 400])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("seed", [4, 11])
-def test_sample_er_is_the_blocked_reference_bytewise(n, p, seed):
-    assert_same_csr(sample_er(n, p, seed), blocked_reference_sample_er(n, p, seed))
+def test_sample_er_is_the_blocked_reference_bytewise(n, p, seed, monkeypatch):
+    want = blocked_reference_sample_er(n, p, seed)
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(systems, "_BLOCK_ENTRIES", size)
+        assert_same_csr(sample_er(n, p, seed), want)
 
 
 @pytest.mark.parametrize("kernel, space", [
@@ -343,13 +353,27 @@ def test_graphop_from_weighted_is_the_blocked_reference_bytewise():
         assert_same_csr(graphop_from_weighted(values, space), want)
 
 
-def test_spherical_graphop_is_the_row_reference_bytewise():
+def test_spherical_graphop_is_the_row_reference_bytewise(monkeypatch):
     # at halfwidth 1.0 whether a fiber holds x itself or -x turns on the last bit of a dot
     for resolution, order in ((40, 1), (120, 4), (468, 12), (1000, 1), (2016, 12), (3000, 6)):
         space = make_grid_space("sphere2", (resolution,), symmetry_order=order)
         for halfwidth in (None, 0.2, 1.0):
-            got = spherical_graphop(space, band_halfwidth=halfwidth)
-            assert_same_csr(got, reference_spherical_graphop(space, halfwidth))
+            want = reference_spherical_graphop(space, halfwidth)
+            for size in BLOCK_SIZES:
+                monkeypatch.setattr(systems, "_BLOCK_ENTRIES", size)
+                assert_same_csr(spherical_graphop(space, band_halfwidth=halfwidth), want)
+
+
+def test_spherical_graphop_builds_from_its_band_mask(monkeypatch):
+    # the fibers are written from the band bits, not found again as nonzeros of dense rows
+    space = make_grid_space("sphere2", (468,), symmetry_order=12)
+    want = spherical_graphop(space)
+
+    def refuse(*args):
+        raise AssertionError("dense row block scanned for nonzeros")
+
+    monkeypatch.setattr(systems, "_nonzeros", refuse)
+    assert_same_csr(spherical_graphop(space), want)
 
 
 def traced_peak(build):
@@ -378,22 +402,22 @@ def warm_traced(build):
 
 def test_sample_er_peak_memory_is_linear_in_nnz():
     # ER n = 2000, p = 0.1: about 400k entries. The system keeps its columns and one
-    # shared weight, 1 x nnz x 8 bytes (its own weights were 1 x nnz x 8 more). The
-    # peak, 2.01 x nnz x 8, is the edge-key blocks and their concatenation; the bound
-    # is that plus 10%. The dense re-blocking build peaked above 12 x nnz x 8.
+    # shared weight, 1 x nnz x 8 bytes. The peak, 1.51 x nnz x 8, is the upper edge keys
+    # (half the entries) and the array of both orientations they are copied into; the
+    # bound is about that plus 10%.
     for seed in (1, 2):
         sys, kept, peak = warm_traced(lambda: sample_er(2000, 0.1, seed))
         unit = sys.indices.size * 8
-        assert peak <= 2.22 * unit and kept <= 1.1 * unit, (seed, peak / unit, kept / unit)
+        assert peak <= 1.7 * unit and kept <= 1.1 * unit, (seed, peak / unit, kept / unit)
 
 
 def test_spherical_graphop_build_peak_memory():
-    # the row-block builder holds its block lists and one concatenation at a time:
-    # 3.08 x nnz x 8 at 2016 nodes, where both lists and both copies peaked at 4.08
+    # the CSR columns and weights, allocated once (2 x nnz x 8), and the bit-packed band
+    # masks (n^2 / 8 bytes) peak at 2.31 x nnz x 8 at 2016 nodes; the bound is that plus 10%
     space = make_grid_space("sphere2", (2016,), symmetry_order=12)
     sys, kept, peak = warm_traced(lambda: spherical_graphop(space))
     unit = sys.indices.size * 8
-    assert peak <= 3.2 * unit and kept <= 2.1 * unit, (peak / unit, kept / unit)
+    assert peak <= 2.55 * unit and kept <= 2.1 * unit, (peak / unit, kept / unit)
 
 
 # An unweighted system stores its one weight once, as a read-only zero-stride view.
@@ -569,6 +593,17 @@ def test_geodesic_grid_build_evaluates_no_row_block(monkeypatch):
     monkeypatch.setattr(GeodesicKernel, "eval_rows", refuse)
     for (kernel, space), want in zip(builds, wants):
         assert_same_csr(discretize(kernel, space), want)
+
+
+def test_geodesic_grid_build_imports_no_masked_arrays():
+    # np.unique imports numpy.ma (about 13 ms) on its first call in a process
+    code = ("import sys, graphlim as gl; "
+            "gl.discretize(gl.geodesic_kernel('torus', 0.1, dim=2), "
+            "gl.make_grid_space('torus', (60, 60))); print('numpy.ma' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"], out.stdout
 
 
 def test_unequal_axis_neighbour_counts_take_the_row_block_builder(monkeypatch):
