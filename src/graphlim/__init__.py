@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .errors import DegenerateFiberError, NumericError, SizeLimitError
 from .space import IndexSpace, make_finite_space, make_grid_space, uniform_space
-from .kernels import BlockKernel, ConstantKernel, CustomKernel, GeodesicKernel, Kernel, \
-    MatrixKernel, canonical_embedding, geodesic_kernel, kernel_from_spec
+from .kernels import BlockKernel, ConstantKernel, GeodesicKernel, Kernel, MatrixKernel, \
+    canonical_embedding, geodesic_kernel, kernel_from_spec
 from .systems import CoupledSystem, adjacency_matrix, discretize, disjoint_union, from_rows, \
     sample_er
 from .dynamics import ModelFunctions, Trajectory, integrate, kuramoto_model, rhs

@@ -1,9 +1,9 @@
 """Config-driven command line front end.
 
-Usage: ``graphlim run <config.json> [--out DIR] [--threads N]``. The config
-is a single JSON document selecting one command (simulate, audit, twisted,
-ghost, continuity, meanfield, norms) plus its parameters; every scalar is
-read through ``config_field``, so a wrong type is a config error naming the
+Usage: ``graphlim run <config.json> [--out DIR]``. The config is a single
+JSON document selecting one command (simulate, audit, twisted, ghost,
+continuity, meanfield, norms) plus its parameters; every scalar is read
+through ``config_field``, so a wrong type is a config error naming the
 field. Artifacts and a manifest land in the output directory; a command
 that fails still writes the manifest, with its exit status and error.
 
@@ -13,14 +13,13 @@ invariance audits) all end in one writer: an ``ExperimentReport`` saved as
 audit or experiment, 2 usage or config error, 3 internal error.
 
 Reruns with the same config produce byte-identical artifacts apart from the
-manifest timestamp; every random choice is seeded explicitly.
+manifest's timestamp and wall clock; every random choice is seeded explicitly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
@@ -124,7 +123,7 @@ def _build_state(cfg, space, field="u0") -> np.ndarray:
         state = np.asarray(sub, dtype=np.float64)
     else:
         kind = _get(sub, "kind", str, "values")
-        if kind == "values" or "values" in sub:
+        if kind == "values":
             state = np.asarray(_get(sub, "values", list), dtype=np.float64)
         elif kind == "constant":
             state = np.full(space.n, float(_get(sub, "value", _NUMBER)))
@@ -352,10 +351,6 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="path to the JSON config")
     runp.add_argument("--out", default=None, help="output directory (default: config's "
                                                   "'out' field or the current directory)")
-    runp.add_argument("--threads", type=int,
-                      default=os.environ.get("GRAPHLIM_THREADS", "1"),
-                      help="worker hint recorded in the manifest; results do not "
-                           "depend on it")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -375,7 +370,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out or cfg.get("out", ".")
     try:
-        return run_config(cfg, out_dir, threads=args.threads)
+        return run_config(cfg, out_dir)
     except Exception as exc:
         status = _exit_status(exc)
         if status == 2:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateFiberError
 from .kernels import _unit_symmetric
 from .space import IndexSpace
-from .systems import CoupledSystem, _dense_blocks, _from_row_blocks, _sealed
+from .systems import CoupledSystem, _dense_blocks, _nonzeros, _sealed
 
 
 def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> CoupledSystem:
@@ -29,7 +29,7 @@ def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> 
     w = _unit_symmetric(values, "weight matrix")
     if w.shape != (space.n, space.n):
         raise ValueError("weight matrix shape does not match the space")
-    return _from_row_blocks(space, lambda lo, hi: w[lo:hi] * space.weights, label)
+    return _sealed(space, *_nonzeros(space.n, lambda lo, hi: w[lo:hi] * space.weights), label)
 
 
 def _max_grid_spacing(space: IndexSpace) -> float:

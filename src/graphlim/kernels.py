@@ -2,13 +2,12 @@
 
 Variants: constant, block (piecewise constant on a partition of the unit
 interval, which covers embedded finite graphs), geodesic (indicator of
-geodesic distance <= delta on the circle, torus, or sphere), explicit
-matrix on an abstract space, and user-supplied evaluators. Kernels are
-immutable. Each defines W once, in ``_table``: points x (a, d) and y (b, d)
-give the (a, b) matrix of W(x_i, y_j). The pointwise ``evaluate``, the row
-blocks ``eval_rows`` that discretization reads, and ``matrix`` all read
-that one definition. ``kernel_from_spec`` is the one parser of kernel
-specs, the CLI's included.
+geodesic distance <= delta on the circle, torus, or sphere), and explicit
+matrix on an abstract space. Kernels are immutable. Each defines W once,
+in ``_table``: points x (a, d) and y (b, d) give the (a, b) matrix of
+W(x_i, y_j). The pointwise ``evaluate``, the row blocks ``eval_rows``
+that discretization reads, and ``matrix`` all read that one definition.
+``kernel_from_spec`` is the one parser of kernel specs, the CLI's included.
 """
 
 from __future__ import annotations
@@ -31,19 +30,6 @@ def _unit_symmetric(values, what: str) -> np.ndarray:
     if np.min(m) < 0.0 or np.max(m) > 1.0:
         raise ValueError(f"{what} entries must lie in [0, 1]")
     return m
-
-
-def _point_dim(geometry: str, dim: int | None, what: str) -> int:
-    """Coordinate count: 1 on the interval, 3 on the sphere, dim (default 2) on the torus.
-
-    A ``dim`` below 1, or one the geometry contradicts, raises ConfigError naming ``dim``.
-    """
-    if geometry not in ("interval", "torus", "sphere2"):
-        raise ValueError(f"{what} does not support geometry {geometry!r}")
-    fixed = {"interval": 1, "sphere2": 3}.get(geometry)
-    if dim is not None and (dim < 1 or fixed not in (None, dim)):
-        raise ConfigError("dim", f"{what} on {geometry} needs dim {fixed or '>= 1'}, got {dim!r}")
-    return fixed or (2 if dim is None else dim)
 
 
 class Kernel:
@@ -172,7 +158,13 @@ class GeodesicKernel(Kernel):
     def __init__(self, geometry: str, delta: float, dim: int | None = None):
         if not delta > 0:  # also False for NaN
             raise ConfigError("delta", f"must be positive, got {delta!r}")
-        self.dim = _point_dim(geometry, dim, "geodesic kernel")
+        if geometry not in ("interval", "torus", "sphere2"):
+            raise ValueError(f"geodesic kernel does not support geometry {geometry!r}")
+        fixed = {"interval": 1, "sphere2": 3}.get(geometry)  # torus: any dim, default 2
+        if dim is not None and (dim < 1 or fixed not in (None, dim)):
+            raise ConfigError("dim", f"geodesic kernel on {geometry} needs dim "
+                                     f"{fixed or '>= 1'}, got {dim!r}")
+        self.dim = fixed or (2 if dim is None else dim)
         self.geometry = geometry
         self.delta = float(delta)
 
@@ -193,44 +185,6 @@ class GeodesicKernel(Kernel):
         for k in range(1, self.dim):  # one axis at a time: no (a, b, dim) temporary
             inside &= self._near(x[..., k], y[..., k])
         return inside.astype(np.float64)
-
-
-class CustomKernel(Kernel):
-    """Wraps a user evaluator f(x, y) -> [0, 1].
-
-    The evaluator must be symmetric; construction samples 100 random point
-    pairs of the declared geometry and rejects evaluators that break
-    symmetry or range. Evaluators must be pure.
-    """
-
-    _SYMMETRY_SAMPLES = 100
-
-    def __init__(self, fn, geometry: str, dim: int | None = None):
-        self.dim = _point_dim(geometry, dim, "custom kernel")
-        self.fn = fn
-        self.geometry = geometry
-        self._verify()
-
-    def _sample_points(self, rng, k):
-        if self.geometry == "sphere2":
-            v = rng.normal(size=(k, 3))
-            return v / np.linalg.norm(v, axis=1, keepdims=True)
-        return rng.random((k, self.dim))
-
-    def _verify(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        xs = self._sample_points(rng, self._SYMMETRY_SAMPLES)
-        ys = self._sample_points(rng, self._SYMMETRY_SAMPLES)
-        for x, y in zip(xs, ys):
-            a = float(self.fn(x, y))
-            b = float(self.fn(y, x))
-            if abs(a - b) > 1e-12:
-                raise ValueError("custom kernel evaluator is not symmetric")
-            if not -1e-12 <= a <= 1.0 + 1e-12:
-                raise ValueError("custom kernel value outside [0, 1]")
-
-    def _table(self, x, y):
-        return np.array([[float(self.fn(a, b)) for b in y] for a in x]).reshape(len(x), len(y))
 
 
 def canonical_embedding(adjacency) -> BlockKernel:

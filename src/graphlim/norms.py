@@ -22,11 +22,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import ConfigError, SizeLimitError
 from .space import IndexSpace
 
 EXACT_NORM_MAX_N = 24
 _LOW_BITS = 12
+# Most restarts inf_to_one_norm_lower runs: 2,048 times the 32 the experiments use. Each
+# restart costs up to 200 matrix-vector products, so an unbounded count never returns.
+_MAX_RESTARTS = 2 ** 16
 
 
 def l1_distance(space: IndexSpace, u, v):
@@ -119,12 +122,13 @@ def inf_to_one_norm_lower(space: IndexSpace, matrix, restarts: int = 16,
     """Alternating sign improvement from seeded random starts.
 
     Always a lower bound on the exact norm; restarts=0 returns 0 with an
-    empty witness. Deterministic for a fixed (restarts, seed).
+    empty witness. Deterministic for a fixed (restarts, seed). ``restarts``
+    must lie in [0, 2^16].
     """
     b = _bilinear_matrix(space, matrix)
     n = space.n
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    if not 0 <= restarts <= _MAX_RESTARTS:
+        raise ConfigError("restarts", f"must lie in [0, {_MAX_RESTARTS}], got {restarts!r}")
     if restarts == 0:
         return NormResult(0.0, "greedy_alternation", np.zeros(0), np.zeros(0))
     rng = np.random.Generator(np.random.Philox(seed))

@@ -186,11 +186,6 @@ def _drained(parts, out=None) -> np.ndarray:
     return out
 
 
-def _from_row_blocks(space: IndexSpace, row_block, label: str) -> CoupledSystem:
-    """CSR system from the dense masses ``row_block(lo, hi)`` of rows lo..hi-1 (``_nonzeros``)."""
-    return _sealed(space, *_nonzeros(space.n, row_block), label)
-
-
 def _grid_axes(space: IndexSpace):
     """The sorted distinct coordinates of each axis when ``space`` is their row-major
     product grid (last axis fastest, as ``make_grid_space`` builds it), else None."""
@@ -251,7 +246,8 @@ def discretize(kernel: Kernel, space: IndexSpace, label: str = "") -> CoupledSys
     if tables:
         return _from_axis_tables(space, tables, label)
     mu = space.weights
-    return _from_row_blocks(space, lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu, label)
+    return _sealed(space, *_nonzeros(space.n, lambda lo, hi: kernel.eval_rows(space, lo, hi) * mu),
+                   label)
 
 
 def sample_er(n: int, p: float, seed: int) -> CoupledSystem:

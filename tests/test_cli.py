@@ -229,6 +229,29 @@ def test_norms_command(tmp_path):
     assert doc["method"] == "exact_bruteforce"
 
 
+def test_norms_restarts_past_the_cap_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "norms", "matrix": [[0.5, 0.5], [0.5, 0.5]],
+                                  "method": "lower", "restarts": 2 ** 16 + 1})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "field 'restarts': must lie in [0, 65536]" in capsys.readouterr().err
+
+
+def test_u0_kind_decides_the_state(tmp_path, capsys):
+    # a state's kind is read as given: a stray "values" field neither rescues an
+    # unknown kind nor overrides a constant
+    base = {"command": "simulate", "space": {"geometry": "abstract", "weights": [1, 1]},
+            "kernel": {"variant": "constant", "value": 0.5}, "t_end": 0.1, "step": 0.1}
+    bogus = write_config(tmp_path, dict(base, u0={"kind": "bogus", "values": [0, 1]}), "b.json")
+    assert main(["run", bogus, "--out", str(tmp_path / "bogus")]) == 2
+    assert "field 'u0.kind': unknown initial state kind 'bogus'" in capsys.readouterr().err
+    for name, u0 in (("constant", {"kind": "constant", "value": 3, "values": [0, 1]}),
+                     ("plain", {"values": [3, 3]})):
+        cfg = write_config(tmp_path, dict(base, u0=u0), f"{name}.json")
+        assert main(["run", cfg, "--out", str(tmp_path / name)]) == 0
+        rows = (tmp_path / name / "trajectory.csv").read_text().splitlines()
+        assert rows[1].split(",")[1:] == ["3.0", "3.0"], rows[:2]
+
+
 def test_continuity_command(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "continuity",
@@ -671,26 +694,15 @@ def test_audit_without_threshold_is_informational(tmp_path):
     assert rows[1].endswith(",")
 
 
-def test_bad_threads_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_threads_is_no_longer_an_option(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"command": "twisted", "resolution": [30, 30], "delta": 0.15,
                                   "q": [1, 3]})
+    assert main(["run", cfg, "--out", str(tmp_path / "flag"), "--threads", "3"]) == 2
+    assert "unrecognized arguments: --threads 3" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
     monkeypatch.setenv("GRAPHLIM_THREADS", "two")
-    assert main(["run", cfg, "--out", str(tmp_path / "bad")]) == 2
-    assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
-    assert main(["run", cfg, "--out", str(tmp_path / "flag"), "--threads", "3"]) == 0
-    monkeypatch.setenv("GRAPHLIM_THREADS", "4")
     assert main(["run", cfg, "--out", str(tmp_path / "env")]) == 0
-    for name, threads in (("flag", 3), ("env", 4)):
-        assert json.loads((tmp_path / name / "manifest.json").read_text())["threads"] == threads
-
-
-def test_bad_threads_flag_is_a_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"command": "twisted", "resolution": [30, 30], "delta": 0.15,
-                                  "q": [1, 3]})
-    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--threads", "x"]) == 2
-    assert "argument --threads: invalid int value: 'x'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert json.loads((tmp_path / "env" / "manifest.json").read_text())["threads"] is None
 
 
 def test_maps_of_another_size_are_config_errors(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from graphlim import (
     BlockKernel,
     ConstantKernel,
-    CustomKernel,
     IndexSpace,
     MatrixKernel,
     canonical_embedding,
@@ -151,14 +150,6 @@ def test_geodesic_kernel_translation_invariant_on_grid():
         assert k.evaluate((x + shift) % 1.0, (y + shift) % 1.0) == k.evaluate(x, y)
 
 
-def test_custom_kernel_verifies_symmetry():
-    CustomKernel(lambda x, y: float(abs(x[0] - y[0]) < 0.5), "interval")
-    with pytest.raises(ValueError):
-        CustomKernel(lambda x, y: float(x[0] > y[0]), "interval")
-    with pytest.raises(ValueError):
-        CustomKernel(lambda x, y: 2.0, "interval")
-
-
 _ADJ = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.0, 1.0]]
 _SPEC_CASES = {
     "constant": ({"variant": "constant", "value": 0.4}, ConstantKernel(0.4), uniform_space(5)),
@@ -208,8 +199,6 @@ _POINTWISE_CASES = {
     "geodesic-torus2": (geodesic_kernel("torus", 0.3, dim=2), "torus", 2),
     "geodesic-torus3": (geodesic_kernel("torus", 0.35, dim=3), "torus", 3),
     "geodesic-sphere": (geodesic_kernel("sphere2", 1.2), "sphere2", 3),
-    "custom": (CustomKernel(lambda x, y: float(np.cos(np.pi * (x[0] - y[0])) ** 2), "torus",
-                            dim=2), "torus", 2),
 }
 
 
@@ -236,8 +225,8 @@ def test_matrix_kernel_points_must_be_node_indices():
 
 def test_evaluate_checks_point_dimension():
     for k, good in ((canonical_embedding([[0, 1], [1, 0]]), [0.2]),
-                    (CustomKernel(lambda x, y: 0.5, "torus", dim=2), [0.1, 0.2])):
-        assert k.evaluate(good, good) in (0.0, 0.5, 1.0)
+                    (geodesic_kernel("torus", 0.3, dim=2), [0.1, 0.2])):
+        assert k.evaluate(good, good) in (0.0, 1.0)
         with pytest.raises(ValueError, match="dimension"):
             k.evaluate(good + [0.3], good)
 
@@ -251,8 +240,7 @@ def test_kernel_values_out_of_domain_name_the_field():
                          (lambda: geodesic_kernel("interval", 0.2, dim=3), "dim"),
                          (lambda: geodesic_kernel("sphere2", 0.2, dim=2), "dim"),
                          (lambda: geodesic_kernel("torus", 0.2, dim=0), "dim"),
-                         (lambda: geodesic_kernel("torus", 0.2, dim=-1), "dim"),
-                         (lambda: CustomKernel(lambda x, y: 0.5, "interval", dim=2), "dim")):
+                         (lambda: geodesic_kernel("torus", 0.2, dim=-1), "dim")):
         with pytest.raises(ValueError, match=repr(field)):
             build()
     assert geodesic_kernel("interval", 0.2, dim=1).dim == 1

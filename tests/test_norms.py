@@ -231,6 +231,13 @@ def test_heuristic_zero_restarts():
     assert r.witness_f.size == 0 and r.witness_g.size == 0
 
 
+def test_heuristic_restarts_are_capped():
+    # an unbounded count (the CLI reads any JSON integer, 10**20 included) would never return
+    for restarts in (2 ** 16 + 1, -1):
+        with pytest.raises(ValueError, match="'restarts'"):
+            inf_to_one_norm_lower(uniform_space(2), np.eye(2), restarts=restarts, seed=0)
+
+
 def test_heuristic_deterministic_per_seed():
     s = uniform_space(10)
     d = random_symmetric(np.random.Generator(np.random.Philox(5)), 10)

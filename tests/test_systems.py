@@ -12,7 +12,6 @@ from graphlim import (
     BlockKernel,
     ConstantKernel,
     CoupledSystem,
-    CustomKernel,
     MatrixKernel,
     ModelFunctions,
     adjacency_matrix,
@@ -246,10 +245,8 @@ def _symmetric(n, seed):
     (canonical_embedding(_symmetric(12, 3) > 0), make_grid_space("interval", (60,))),
     (MatrixKernel(_symmetric(9, 4)), make_finite_space(np.arange(1, 10) / 45)),
     (ConstantKernel(0.7), uniform_space(33)),
-    (CustomKernel(lambda x, y: float(abs(x[0] - y[0]) < 0.3), "interval"),
-     make_grid_space("interval", (25,))),
 ], ids=["interval", "torus2", "torus3", "sphere", "block", "canonical", "matrix",
-        "constant", "custom"])
+        "constant"])
 def test_discretize_matches_row_reference(kernel, space):
     assert_same_csr(discretize(kernel, space), reference_discretize(kernel, space))
 
