@@ -32,7 +32,7 @@ from .errors import ConfigError, config_field as _get
 from .dynamics import integrate, kuramoto_model
 from .experiments import ExperimentReport, continuity_experiment, ghost_experiment, \
     twisted_residual, twisted_state
-from .graphop import graphop_from_weighted, spherical_graphop
+from .graphop import spherical_graphop
 from .kernels import kernel_from_spec
 from .meanfield import MeasureState, integrate_meanfield
 from .norms import inf_to_one_norm_exact, inf_to_one_norm_lower
@@ -78,10 +78,6 @@ def _build_system(cfg):
         sub = _get(cfg, "er", dict)
         return sample_er(_get(sub, "n", int), _get(sub, "p", _NUMBER),
                          _get(sub, "seed", int))
-    if "graphop" in cfg:
-        sub = _get(cfg, "graphop", dict)
-        space = _build_space(sub)
-        return graphop_from_weighted(np.array(_get(sub, "values", list)), space)
     if "spherical_graphop" in cfg:
         sub = _get(cfg, "spherical_graphop", dict)
         space = _build_space(sub)

@@ -1,11 +1,11 @@
 """Fiber-measure systems.
 
 A fiber system assigns each node a measure nu_i on the node set, stored as
-the rows of a :class:`~graphlim.systems.CoupledSystem`. Unlike
-kernel-derived rows, fibers need not have the form W(x_i, .) mu; the
-spherical construction places uniform probability mass on the discretized
-great circle orthogonal to each node. Fiber systems plug into
-``dynamics.integrate`` unchanged.
+the rows of a :class:`~graphlim.systems.CoupledSystem`. A weighted graph's
+graphop is nu_i = W(i, .) mu, which ``discretize`` builds from a
+``MatrixKernel``. Fibers need not have that form: the spherical graphop,
+which no kernel gives, places uniform probability mass on the discretized
+great circle orthogonal to each node. They plug into ``dynamics.integrate``.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ import math
 import numpy as np
 
 from .errors import DegenerateFiberError
-from .kernels import _unit_symmetric
+from .kernels import MatrixKernel
 from .space import IndexSpace
-from .systems import CoupledSystem, _dense_blocks, _nonzeros, _sealed
+from .systems import CoupledSystem, _row_blocks, _sealed, discretize
 
 
 def graphop_from_weighted(values, space: IndexSpace, label: str = "graphop") -> CoupledSystem:
-    """Fibers nu_i = W(i, .) mu from a symmetric weight matrix.
+    """Fibers nu_i = W(i, .) mu from a symmetric weight matrix on a space of any geometry.
 
-    The matrix must be symmetric with entries in [0, 1]; zero-mass entries
-    are dropped.
+    ``discretize(MatrixKernel(values), space, label)``: the matrix must be symmetric with
+    entries in [0, 1] and one row per node; zero-mass entries are dropped.
     """
-    w = _unit_symmetric(values, "weight matrix")
-    if w.shape != (space.n, space.n):
-        raise ValueError("weight matrix shape does not match the space")
-    return _sealed(space, *_nonzeros(space.n, lambda lo, hi: w[lo:hi] * space.weights), label)
+    return discretize(MatrixKernel(values), space, label)
 
 
 def _max_grid_spacing(space: IndexSpace) -> float:
@@ -60,7 +57,7 @@ def spherical_graphop(space: IndexSpace, band_halfwidth: float | None = None,
         raise ValueError("band_halfwidth must be positive")
     coords, mu, n = space.coords, space.weights, space.n
     # pass 1 keeps the bit-packed band (n^2/8 bytes), row lengths and masses; pass 2 fills the CSR
-    blocks = _dense_blocks(n)
+    blocks = _row_blocks(n * np.arange(n + 1))
     indptr, mass, packed = np.zeros(n + 1, dtype=np.int64), np.empty(n), []
     for lo, hi in blocks:
         # one gemv per row, the bits of coords @ coords[i]; a gemm rounds some dots otherwise

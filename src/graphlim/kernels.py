@@ -3,11 +3,11 @@
 Variants: constant, block (piecewise constant on a partition of the unit
 interval, which covers embedded finite graphs), geodesic (indicator of
 geodesic distance <= delta on the circle, torus, or sphere), and explicit
-matrix on an abstract space. Kernels are immutable. Each defines W once,
-in ``_table``: points x (a, d) and y (b, d) give the (a, b) matrix of
-W(x_i, y_j). The pointwise ``evaluate``, the row blocks ``eval_rows``
-that discretization reads, and ``matrix`` all read that one definition.
-``kernel_from_spec`` is the one parser of kernel specs, the CLI's included.
+matrix W[i, j], read by node position on any n-node space. Kernels are
+immutable and keep read-only copies of their arrays. Each defines W once:
+in ``_table``, where points x (a, d) and y (b, d) give the (a, b) matrix of
+W(x_i, y_j), or, for the matrix, in the row blocks ``eval_rows`` that
+discretization and ``matrix`` read. ``kernel_from_spec`` parses every spec.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, config_field
-from .space import IndexSpace, _index_array
+from .space import IndexSpace, _frozen
 
 
 def _unit_symmetric(values, what: str) -> np.ndarray:
@@ -29,7 +29,7 @@ def _unit_symmetric(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be symmetric")
     if np.min(m) < 0.0 or np.max(m) > 1.0:
         raise ValueError(f"{what} entries must lie in [0, 1]")
-    return m
+    return _frozen(m)
 
 
 class Kernel:
@@ -42,17 +42,8 @@ class Kernel:
         """W(x_i, y_j) for float points x (a, d) and y (b, d), as an (a, b) matrix."""
         raise NotImplementedError
 
-    def evaluate(self, x, y) -> float:
-        """W(x, y) for two points, each of shape (dim,) when the kernel fixes ``dim``."""
-        points = [np.asarray(p) for p in (x, y)]
-        if any(p.dtype.kind not in "iuf" for p in points):
-            raise ValueError("points must be real coordinates, not booleans")
-        if self.dim is not None and any(p.shape != (self.dim,) for p in points):
-            raise ValueError(f"points must have dimension {self.dim}")
-        return float(self._table(*(p.astype(np.float64).reshape(1, -1) for p in points))[0, 0])
-
     def eval_rows(self, space: IndexSpace, lo: int, hi: int) -> np.ndarray:
-        """Rows W(x_i, .) for lo <= i < hi; callers check the space."""
+        """Rows W(x_i, .) for lo <= i < hi as a fresh array; callers check the space."""
         return self._table(space.coords[lo:hi], space.coords)
 
     def matrix(self, space: IndexSpace) -> np.ndarray:
@@ -82,29 +73,18 @@ class ConstantKernel(Kernel):
 
 
 class MatrixKernel(Kernel):
-    """Explicit symmetric values W[i, j] on an abstract n-point space.
-
-    Points are node indices: whole numbers in [0, n), as the coordinates of
-    :func:`~graphlim.space.make_finite_space` are.
-    """
-
-    geometry = "abstract"
-    dim = 1
+    """Explicit symmetric values W[i, j], read by node position on any n-node space: a
+    finite weighted graph, whose graphop is its ``discretize`` rows w_ij = W[i, j] mu_j."""
 
     def __init__(self, values):
         self.values = _unit_symmetric(values, "matrix kernel")
 
     def check_space(self, space):
-        super().check_space(space)
         if space.n != self.values.shape[0]:
             raise ValueError("matrix kernel size does not match the space")
 
-    def _table(self, x, y):
-        n = self.values.shape[0]
-        i, j = (_index_array(p[:, 0], "matrix kernel points") for p in (x, y))
-        if not all(((p >= 0) & (p < n)).all() for p in (i, j)):
-            raise ValueError(f"matrix kernel points must be node indices in [0, {n})")
-        return self.values[np.ix_(i, j)]
+    def eval_rows(self, space, lo, hi):
+        return self.values[lo:hi].copy()  # fresh: ``matrix`` hands back a writable array
 
 
 class BlockKernel(Kernel):
@@ -118,7 +98,7 @@ class BlockKernel(Kernel):
     dim = 1
 
     def __init__(self, boundaries, values):
-        boundaries = np.asarray(boundaries, dtype=np.float64).reshape(-1)
+        boundaries = _frozen(boundaries).reshape(-1)
         values = _unit_symmetric(values, "block matrix")
         k = boundaries.size - 1
         if k < 1 or boundaries[0] != 0.0 or boundaries[-1] != 1.0:

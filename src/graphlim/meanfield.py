@@ -26,18 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _integrate_core, _rhs_fn, kuramoto_model, write_csv
-from .space import IndexSpace
+from .space import IndexSpace, _frozen
 from .systems import CoupledSystem
 
 
 @dataclass(frozen=True)
 class MeasureState:
-    """Particle clouds: array of shape (nodes, particles)."""
+    """Particle clouds: a read-only array of shape (nodes, particles)."""
 
     particles: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.particles, dtype=np.float64)
+        p = _frozen(self.particles)
         object.__setattr__(self, "particles", p)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("particles must be a (nodes, particles) array")

@@ -235,6 +235,16 @@ def _apportion_bands(target: int, sines: np.ndarray, m: int) -> np.ndarray:
     return units * m
 
 
+def _band_cells(band_counts):
+    """Per node of a band grid with these band populations: its band's population, the
+    band's first node and its place in the band."""
+    counts = np.array(band_counts, dtype=np.int64)
+    if counts.size == 0:
+        raise ValueError("space has no latitude band structure")
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(counts, counts), first, np.arange(first.size) - first
+
+
 def _sphere_band_grid(target: int, bands: int | None, symmetry_order: int) -> IndexSpace:
     if symmetry_order < 1:
         raise ValueError("symmetry_order must be at least 1")
@@ -248,37 +258,25 @@ def _sphere_band_grid(target: int, bands: int | None, symmetry_order: int) -> In
     # Mirrored tables: the southern half reuses the northern floats with the
     # z sign flipped, so the reflection z -> -z is an exact grid permutation.
     half = nbands // 2
+
+    def mirrored(values, middle, sign=1.0):  # the middle band of an odd count gets ``middle``
+        values[::-1][:half] = sign * values[:half]
+        values[half:nbands - half] = middle
+        return values
+
     theta = (np.arange(nbands) + 0.5) * math.pi / nbands
-    z = np.empty(nbands)
-    r = np.empty(nbands)
-    z[:half] = np.cos(theta[:half])
-    r[:half] = np.sin(theta[:half])
-    z[nbands - 1 - np.arange(half)] = -z[:half]
-    r[nbands - 1 - np.arange(half)] = r[:half]
-    if nbands % 2 == 1:
-        z[half] = 0.0
-        r[half] = 1.0
+    edges = np.arange(nbands + 1) * math.pi / nbands
+    area = (np.cos(edges[:-1]) - np.cos(edges[1:])) / 2.0
+    z = mirrored(np.cos(theta), 0.0, sign=-1.0)
+    r = mirrored(np.sin(theta), 1.0)
+    share = mirrored(area, area[half])
 
     counts = _apportion_bands(target, r, symmetry_order)
-
-    edges = np.arange(nbands + 1) * math.pi / nbands
-    share = np.empty(nbands)
-    share[:half] = (np.cos(edges[:half]) - np.cos(edges[1 : half + 1])) / 2.0
-    share[nbands - 1 - np.arange(half)] = share[:half]
-    if nbands % 2 == 1:
-        share[half] = (np.cos(edges[half]) - np.cos(edges[half + 1])) / 2.0
-
-    coords = []
-    weights = []
-    for b in range(nbands):
-        c = counts[b]
-        az = 2.0 * math.pi * np.arange(c) / c
-        x = r[b] * np.cos(az)
-        y = r[b] * np.sin(az)
-        coords.append(np.stack([x, y, np.full(c, z[b])], axis=1))
-        weights.append(np.full(c, share[b] / c))
-    coords = np.concatenate(coords, axis=0)
-    weights = np.concatenate(weights)
+    c, _, k = _band_cells(counts)
+    band = np.repeat(np.arange(nbands), counts)
+    az = 2.0 * math.pi * k / c
+    coords = np.stack([r[band] * np.cos(az), r[band] * np.sin(az), z[band]], axis=1)
+    weights = share[band] / c
     weights = weights / math.fsum(weights.tolist())
     # Renormalize the unit vectors; cos^2+sin^2 drifts by a few ulp.
     coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ModelFunctions, integrate
 from .norms import l1_distance
-from .space import IndexSpace, _index_array, uniform_space
+from .space import IndexSpace, _band_cells, _index_array, uniform_space
 from .systems import CoupledSystem
 
 
@@ -125,18 +125,9 @@ def torus_rotation_map(space: IndexSpace) -> IndexMap:
     return _cell_map(space, lambda k: np.stack([-k[:, 1], k[:, 0]], axis=1))
 
 
-def _band_cells(space: IndexSpace):
-    """Per node: its band's population, the band's first node and its place in the band."""
-    counts = np.array(space.band_counts, dtype=np.int64)
-    if counts.size == 0:
-        raise ValueError("space has no latitude band structure")
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(counts, counts), first, np.arange(space.n) - first
-
-
 def sphere_rotation_map(space: IndexSpace, steps: int = 1) -> IndexMap:
     """Rotation about the z axis by steps * 2*pi/g, g = gcd of band counts."""
-    c, first, k = _band_cells(space)
+    c, first, k = _band_cells(space.band_counts)
     g = int(np.gcd.reduce(space.band_counts))
     steps = _index_array(steps, "rotation steps") % g
     return IndexMap(first + (k + steps * (c // g)) % c)
@@ -144,7 +135,7 @@ def sphere_rotation_map(space: IndexSpace, steps: int = 1) -> IndexMap:
 
 def sphere_reflection_map(space: IndexSpace) -> IndexMap:
     """z -> -z on a band grid: band b pairs with its mirror band."""
-    c, first, k = _band_cells(space)
+    c, first, k = _band_cells(space.band_counts)
     if space.band_counts != space.band_counts[::-1]:
         raise ValueError("band populations are not mirror-symmetric")
     return IndexMap(space.n - first - c + k)  # n - first - c: the mirror band's first node

@@ -148,12 +148,6 @@ def _sealed(space: IndexSpace, indptr, indices, weights, label: str) -> CoupledS
     return CoupledSystem(space, indptr, indices, weights, label=label)
 
 
-def _dense_blocks(n: int):
-    """(lo, hi) ranges of whole rows of n dense slots, about ``_BLOCK_ENTRIES`` slots each."""
-    step = max(1, _BLOCK_ENTRIES // n)
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-
-
 def _nonzeros(n: int, row_block):
     """CSR ``(indptr, indices, values)`` of the dense rows ``row_block(lo, hi)``, asked in order.
 
@@ -162,7 +156,7 @@ def _nonzeros(n: int, row_block):
     """
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices, values = [], []
-    for lo, hi in _dense_blocks(n):
+    for lo, hi in _row_blocks(n * np.arange(n + 1)):
         block = row_block(lo, hi).ravel()
         flat = np.flatnonzero(block != 0)
         indptr[lo + 1:hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * n)
@@ -270,7 +264,7 @@ def sample_er(n: int, p: float, seed: int) -> CoupledSystem:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
     upper = []
-    for lo, hi in _dense_blocks(n):
+    for lo, hi in _row_blocks(n * np.arange(n + 1)):
         # pair (i, j), i < j, of rows lo..hi-1 is draw first[i - lo] + j - i - 1 of the block
         i = np.arange(lo, hi)
         first = np.concatenate([[0], np.cumsum(n - 1 - i)])

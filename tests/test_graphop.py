@@ -6,8 +6,10 @@ import pytest
 from graphlim import (
     DegenerateFiberError,
     FixedPointSubspace,
+    MatrixKernel,
     ModelFunctions,
     check_automorphism,
+    discretize,
     equivariance_audit,
     graphop_from_weighted,
     integrate,
@@ -86,6 +88,25 @@ def test_graphop_from_weighted_validation():
         graphop_from_weighted(np.array([[0.0, 1.0, 0], [0.0, 0.0, 0], [0, 0, 0]]), space)
     with pytest.raises(ValueError):
         graphop_from_weighted(np.zeros((2, 2)), space)
+
+
+@pytest.mark.parametrize("space", [
+    make_finite_space(np.arange(1.0, 13.0)),
+    make_grid_space("interval", (12,)),
+    make_grid_space("torus", (4, 3)),
+    make_grid_space("sphere2", (12,)),
+], ids=lambda space: space.geometry)
+def test_weighted_graphop_is_the_matrix_kernel_discretization(space):
+    rng = np.random.Generator(np.random.Philox(4))
+    a = rng.random((12, 12))
+    w = np.where(a + a.T > 1.0, (a + a.T) / 2, 0.0)
+    got = graphop_from_weighted(w, space)
+    want = discretize(MatrixKernel(w), space, "graphop")
+    assert got.label == want.label == "graphop"
+    for name in ("indptr", "indices", "weights"):
+        g, e = getattr(got, name), getattr(want, name)
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), name
+    assert 0 < got.indices.size < 144
 
 
 def test_graphop_zero_and_constant():

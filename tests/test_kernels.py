@@ -9,6 +9,7 @@ from graphlim import (
     ConstantKernel,
     IndexSpace,
     MatrixKernel,
+    MeasureState,
     canonical_embedding,
     geodesic_kernel,
     kernel_from_spec,
@@ -18,9 +19,14 @@ from graphlim import (
 )
 
 
+def _pair(kernel, geometry, x, y):
+    """W(x, y), read from ``matrix`` on the two-point space {x, y}."""
+    return kernel.matrix(IndexSpace(geometry, [x, y], [0.5, 0.5]))[0, 1]
+
+
 def test_constant_kernel_value():
     k = ConstantKernel(0.5)
-    assert k.evaluate(np.array([0.1]), np.array([0.9])) == 0.5
+    assert _pair(k, "abstract", [0.1], [0.9]) == 0.5
 
 
 def test_constant_kernel_range_check():
@@ -30,8 +36,8 @@ def test_constant_kernel_range_check():
 
 def test_circle_kernel_wraps_around():
     k = geodesic_kernel("torus", 0.2, dim=1)
-    assert k.evaluate([0.1], [0.95]) == 1.0  # wrap distance 0.15
-    assert k.evaluate([0.1], [0.5]) == 0.0
+    assert _pair(k, "torus", [0.1], [0.95]) == 1.0  # wrap distance 0.15
+    assert _pair(k, "torus", [0.1], [0.5]) == 0.0
 
 
 def test_circle_kernel_all_to_all_at_half():
@@ -42,14 +48,14 @@ def test_circle_kernel_all_to_all_at_half():
 
 def test_torus_kernel_uses_max_metric():
     k = geodesic_kernel("torus", 0.1, dim=2)
-    assert k.evaluate([0.0, 0.0], [0.05, 0.08]) == 1.0
-    assert k.evaluate([0.0, 0.0], [0.05, 0.12]) == 0.0
+    assert _pair(k, "torus", [0.0, 0.0], [0.05, 0.08]) == 1.0
+    assert _pair(k, "torus", [0.0, 0.0], [0.05, 0.12]) == 0.0
 
 
 def test_sphere_kernel_pole_to_equator():
     k = geodesic_kernel("sphere2", math.pi / 2)
-    assert k.evaluate([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]) == 1.0
-    assert k.evaluate([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]) == 0.0
+    assert _pair(k, "sphere2", [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]) == 1.0
+    assert _pair(k, "sphere2", [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]) == 0.0
 
 
 def test_sphere_hemisphere_measure():
@@ -77,9 +83,9 @@ def test_geometry_mismatch_rejected():
 
 def test_canonical_embedding_two_blocks():
     k = canonical_embedding(np.array([[0, 1], [1, 0]]))
-    assert k.evaluate([0.25], [0.75]) == 1.0
-    assert k.evaluate([0.25], [0.25]) == 0.0
-    assert k.evaluate([0.75], [0.75]) == 0.0
+    assert _pair(k, "interval", [0.25], [0.75]) == 1.0
+    assert _pair(k, "interval", [0.25], [0.25]) == 0.0
+    assert _pair(k, "interval", [0.75], [0.75]) == 0.0
 
 
 def test_canonical_embedding_matches_adjacency_on_midpoints():
@@ -88,19 +94,15 @@ def test_canonical_embedding_matches_adjacency_on_midpoints():
     a = np.triu(a, 1)
     a = a + a.T
     k = canonical_embedding(a)
-    mids = (np.arange(5) + 0.5) / 5
-    for i in range(5):
-        for j in range(5):
-            assert k.evaluate([mids[i]], [mids[j]]) == a[i, j]
+    mids = make_grid_space("interval", (5,))  # the midpoints (k + 1/2) / 5
+    assert np.array_equal(k.matrix(mids), a)
 
 
 def test_canonical_embedding_all_ones():
     a = np.ones((5, 5)) - np.eye(5)
     k = canonical_embedding(a)
-    mids = (np.arange(5) + 0.5) / 5
-    for i in range(5):
-        for j in range(5):
-            assert k.evaluate([mids[i]], [mids[j]]) == a[i, j]
+    mids = make_grid_space("interval", (5,))
+    assert np.array_equal(k.matrix(mids), a)
 
 
 def test_canonical_embedding_rejects_asymmetric():
@@ -125,6 +127,38 @@ def test_matrix_kernel_checks():
     k = MatrixKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         k.matrix(uniform_space(3))
+    with pytest.raises(ValueError, match="size"):
+        k.matrix(make_grid_space("torus", (2, 2)))
+
+
+def test_matrix_kernel_reads_w_by_node_on_any_geometry():
+    w = np.array([[0.0, 0.2, 0.7], [0.2, 1.0, 0.4], [0.7, 0.4, 0.0]])
+    k = MatrixKernel(w)
+    for space in (uniform_space(3), make_finite_space([1, 2, 3]),
+                  make_grid_space("interval", (3,)), make_grid_space("torus", (3,)),
+                  make_grid_space("sphere2", (3,), bands=1)):
+        m = k.matrix(space)
+        assert m.tobytes() == w.tobytes() and m.flags.writeable
+        assert k.eval_rows(space, 1, 3).tobytes() == w[1:3].tobytes()
+
+
+def test_kernels_and_clouds_keep_a_read_only_copy_of_what_they_validated():
+    values = np.array([[0.0, 0.5], [0.5, 0.0]])
+    boundaries = np.array([0.0, 0.5, 1.0])
+    particles = np.zeros((2, 3))
+    matrix, block = MatrixKernel(values), BlockKernel(boundaries, values)
+    canonical, clouds = canonical_embedding(values), MeasureState(particles)
+    values[0, 0], boundaries[1], particles[0, 0] = 7.0, 2.0, np.nan
+    for kernel in (matrix, block, canonical):
+        assert kernel.values.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert block.boundaries.tolist() == [0.0, 0.5, 1.0]
+    assert clouds.particles.tolist() == [[0.0] * 3] * 2
+    for a in (matrix.values, block.values, block.boundaries, canonical.values,
+              clouds.particles):
+        assert not a.flags.writeable
+    m = matrix.matrix(uniform_space(2))
+    m[0, 0] = 1.0  # a fresh array: the kernel keeps its values
+    assert matrix.values[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("kernel,space", [
@@ -143,11 +177,8 @@ def test_geodesic_kernel_translation_invariant_on_grid():
     s = make_grid_space("torus", (12, 12))
     k = geodesic_kernel("torus", 0.2, dim=2)
     shift = np.array([1 / 12, 3 / 12])
-    rng = np.random.Generator(np.random.Philox(5))
-    idx = rng.integers(0, s.n, size=(50, 2))
-    for i, j in idx:
-        x, y = s.coords[i], s.coords[j]
-        assert k.evaluate((x + shift) % 1.0, (y + shift) % 1.0) == k.evaluate(x, y)
+    shifted = IndexSpace("torus", (s.coords + shift) % 1.0, s.weights)
+    assert np.array_equal(k.matrix(shifted), k.matrix(s))  # every pair, shifted and not
 
 
 _ADJ = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [0.5, 0.0, 1.0]]
@@ -172,63 +203,6 @@ def test_kernel_from_spec_matches_the_direct_kernel(name):
     assert type(built) is type(direct)
     m, want = built.matrix(space), direct.matrix(space)
     assert m.dtype == want.dtype and m.shape == want.shape and m.tobytes() == want.tobytes()
-
-
-def _random_space(geometry, n, dim, seed):
-    """Seeded small space of ``geometry`` with random coordinates and weights."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    if geometry == "abstract":
-        return make_finite_space(rng.random(n) + 0.5)
-    if geometry == "sphere2":
-        v = rng.normal(size=(n, 3))
-        coords = v / np.linalg.norm(v, axis=1, keepdims=True)
-    else:
-        coords = rng.random((n, dim))
-    w = rng.random(n) + 0.5
-    return IndexSpace(geometry, coords, w / math.fsum(w.tolist()))
-
-
-_RNG = np.random.Generator(np.random.Philox(21))
-_SYM = _RNG.random((9, 9))
-_POINTWISE_CASES = {
-    "constant": (ConstantKernel(0.3), "abstract", 1),
-    "matrix": (MatrixKernel((_SYM + _SYM.T) / 2), "abstract", 1),
-    "block": (BlockKernel([0.0, 0.25, 0.7, 1.0], _ADJ), "interval", 1),
-    "canonical": (canonical_embedding((_SYM + _SYM.T > 1.0).astype(float)), "interval", 1),
-    "geodesic-interval": (geodesic_kernel("interval", 0.2), "interval", 1),
-    "geodesic-torus2": (geodesic_kernel("torus", 0.3, dim=2), "torus", 2),
-    "geodesic-torus3": (geodesic_kernel("torus", 0.35, dim=3), "torus", 3),
-    "geodesic-sphere": (geodesic_kernel("sphere2", 1.2), "sphere2", 3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_POINTWISE_CASES))
-def test_evaluate_agrees_with_matrix_on_every_pair(name):
-    kernel, geometry, dim = _POINTWISE_CASES[name]
-    for seed in (1, 2, 3):
-        space = _random_space(geometry, 9, dim, seed)
-        m, c = kernel.matrix(space), space.coords
-        for i in range(space.n):
-            for j in range(space.n):
-                assert kernel.evaluate(c[i], c[j]) == m[i, j], (seed, i, j)
-
-
-def test_matrix_kernel_points_must_be_node_indices():
-    k = MatrixKernel(np.array([[0.0, 0.2, 0.7], [0.2, 1.0, 0.4], [0.7, 0.4, 0.0]]))
-    assert k.evaluate([1], [2]) == 0.4 and k.evaluate(np.array([2.0]), [0]) == 0.7
-    for x in ([1.7], [-1], [3], [np.nan], [True]):
-        with pytest.raises(ValueError):
-            k.evaluate(x, [0])
-        with pytest.raises(ValueError):
-            k.evaluate([0], x)
-
-
-def test_evaluate_checks_point_dimension():
-    for k, good in ((canonical_embedding([[0, 1], [1, 0]]), [0.2]),
-                    (geodesic_kernel("torus", 0.3, dim=2), [0.1, 0.2])):
-        assert k.evaluate(good, good) in (0.0, 1.0)
-        with pytest.raises(ValueError, match="dimension"):
-            k.evaluate(good + [0.3], good)
 
 
 def test_kernel_values_out_of_domain_name_the_field():
