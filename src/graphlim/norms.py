@@ -9,8 +9,9 @@ exact routine enumerates g, last sign fixed to +1 (the form is odd in g),
 and scores sum_i |(B g)_i|, the value at f = sign(B g), as one column of
 partial sums over the low free signs plus one over the high ones: O(n
 2^(n-1)) adds and O(n 2^(n/2)) memory, no BLAS, so the result does not
-depend on the thread count. Among tied optima the witness may differ from
-earlier versions' (a matrix-product scan); the value agrees to rounding.
+depend on the thread count; a float32 screen halves its cost, same bits (see
+``inf_to_one_norm_exact``). Among tied optima the witness may differ from earlier
+versions' (a matrix-product scan); the value agrees to rounding.
 The heuristic alternates sign improvements from random starts and always
 returns a lower bound.
 """
@@ -63,6 +64,8 @@ def _bilinear_matrix(space: IndexSpace, matrix) -> np.ndarray:
     d = np.asarray(matrix, dtype=np.float64)
     if d.shape != (space.n, space.n):
         raise ValueError("matrix shape does not match the space")
+    if not np.isfinite(d).all():  # NaN would pass the symmetry check below
+        raise ValueError("matrix must be finite")
     b = np.subtract(d, d.T, out=np.empty_like(d))  # d's memory order, as mu[:, None] * d gives
     if float(np.max(np.abs(b, out=b), initial=0.0)) > 1e-12:
         raise ValueError("matrix must be symmetric")
@@ -86,8 +89,29 @@ def _sign_sums(b: np.ndarray, cols: range, base: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scan(low, high, columns, dtype):
+    """Yield (h, scores of candidates c + 2^k h) for h in ``columns``, into one 64-byte-aligned
+    buf and scores (n = 23: 75-84 ms a float64 scan, 97-103 ms with buf misaligned)."""
+    raw = np.empty(low.size + low.shape[1] + 64 // np.dtype(dtype).itemsize, dtype)
+    raw = raw[-raw.ctypes.data % 64 // raw.itemsize:]
+    buf, scores = raw[:low.size].reshape(low.shape), raw[low.size:low.size + low.shape[1]]
+    for h in columns:
+        np.abs(np.add(low, high[:, h:h + 1], out=buf), out=buf)
+        np.add.reduce(buf, axis=0, out=scores)
+        yield h, scores
+
+
 def inf_to_one_norm_exact(space: IndexSpace, matrix) -> NormResult:
-    """Exact vertex maximum for n <= 24; the lowest maximal candidate id wins."""
+    """Exact vertex maximum for n <= 24; the lowest maximal candidate id wins.
+
+    A float32 screen scans low and high scaled by the power of two s putting max|b| in [1/2, 1).
+    float64 rescans, ascending, each high column whose float32 best is within delta = 2 (g32 +
+    g64) T + (n + 2) 2^-140 of the overall one, with g(u) = (n + 2) u / (1 - (n + 2) u) and T =
+    s sum_ij |b_ij| >= s sum_i (|low_ic| + |high_ih|): a score is within g64 T of s times its exact
+    value in float64, g32 T + n 2^-148 in float32 (Higham, Accuracy and Stability, 4.2), so each
+    column holding a float64 optimum is rescanned. All-tie inputs (zero, diagonal) rescan every
+    column: one float32 scan more than float64 alone.
+    """
     b = _bilinear_matrix(space, matrix)
     n = space.n
     if n > EXACT_NORM_MAX_N:
@@ -98,17 +122,16 @@ def inf_to_one_norm_exact(space: IndexSpace, matrix) -> NormResult:
     k = min(_LOW_BITS, n - 1)
     low = _sign_sums(b, range(k), np.zeros(n))
     high = _sign_sums(b, range(k, n - 1), b[:, n - 1])
-    # buf and scores are stored every column; on a 64-byte boundary their vector stores
-    # split no cache line (n = 23: 75-84 ms a scan, 97-103 ms with buf misaligned). scores
-    # follows buf, so it starts on a boundary too when 8 divides low.size (n >= 4).
-    raw = np.empty(low.size + low.shape[1] + 8)
-    start = -raw.ctypes.data % 64 // 8
-    buf = raw[start:start + low.size].reshape(low.shape)
-    scores = raw[start + low.size:start + low.size + low.shape[1]]
+    exp = -int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    low32, high32 = (np.ldexp(a, exp, out=np.empty(a.shape, np.float32)) for a in (low, high))
+    best32 = np.array([s.max() for _, s in _scan(low32, high32, range(high.shape[1]),
+                                                  np.float32)], dtype=np.float64)
+    del low32, high32  # ldexp cast into them in small chunks, with no float64 temporary
+    delta = (2 * sum((n + 2) * u / (1 - (n + 2) * u) for u in (2.0 ** -24, 2.0 ** -53))
+             * float(np.ldexp(np.abs(b).sum(), exp)) + (n + 2) * 2.0 ** -140)
     best_score, best_id = -1.0, 0
-    for h in range(high.shape[1]):
-        np.abs(np.add(low, high[:, h:h + 1], out=buf), out=buf)
-        np.add.reduce(buf, axis=0, out=scores)
+    keep = np.flatnonzero(~(best32 < best32.max() - delta))  # NaN from overflow: kept
+    for h, scores in _scan(low, high, keep.tolist(), np.float64):
         c = int(np.argmax(scores))
         if scores[c] > best_score:
             best_score, best_id = float(scores[c]), c + (h << k)

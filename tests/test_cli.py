@@ -236,6 +236,15 @@ def test_norms_restarts_past_the_cap_exit_2(tmp_path, capsys):
     assert "field 'restarts': must lie in [0, 65536]" in capsys.readouterr().err
 
 
+def test_norms_of_a_non_finite_matrix_exit_2(tmp_path, capsys):
+    # a NaN used to pass the symmetry check and be written as "value": NaN, which is not JSON
+    for method in ("exact", "lower"):
+        doc = {"command": "norms", "matrix": [[0.0, float("nan")], [1.0, 0.0]], "method": method}
+        cfg = write_config(tmp_path, doc, f"{method}.json")
+        assert main(["run", cfg, "--out", str(tmp_path / method)]) == 2
+        assert "matrix must be finite" in capsys.readouterr().err
+
+
 def test_u0_kind_decides_the_state(tmp_path, capsys):
     # a state's kind is read as given: a stray "values" field neither rescues an
     # unknown kind nor overrides a constant

@@ -695,3 +695,63 @@ def test_uncoupled_clouds_stand_still(name, m):
     traj = integrate_meanfield(sys, MeasureState(clouds), 0.2, 0.05)
     assert traj.states.dtype == np.float64
     assert np.array_equal(traj.states, np.stack([clouds] * 5))
+
+
+def rk4_step_loop(fn, y0, t_end, step, sample_every=1):
+    """(times, states) of a plain loop of ``dynamics._rk4_step``: every step taken, none skipped."""
+    nsteps = max(1, int(round(abs(t_end) / step)))
+    h = t_end / nsteps
+    y = np.array(y0, dtype=np.float64)
+    out, scratch = np.empty_like(y), [np.empty_like(y) for _ in range(4)]
+    times, states = [0.0], [y.copy()]
+    for k in range(1, nsteps + 1):
+        y, out = dynamics._rk4_step(fn, y, h, out, scratch), y
+        if k % sample_every == 0 or k == nsteps:
+            times.append(k * h)
+            states.append(y.copy())
+    return np.array(times), np.stack(states)
+
+
+def fixed_point_cases():
+    """(name, system, model, state, t_end, step, steps the driver should take)."""
+    er16, er400 = sample_er(16, 0.5, 90), sample_er(400, 0.5, 91)
+    sync16, zero = np.full(16, 1.0), kuramoto_model(0.0, 0.0)
+    generic = ModelFunctions(f=lambda u, s: s, g=lambda u, v: np.sin(v - u))
+    # decays to exact zeros at step 398 of 1,000; the check at step 512 sees it
+    decaying = ModelFunctions(f=lambda u, s: 0.1 * s - 1.6 * u, g=lambda u, v: np.sin(v - u))
+    signed_zeros = np.zeros(16)
+    signed_zeros[::3] = -0.0  # the first step turns them into +0.0: == would stop one step early
+    return [("small_path", er16, zero, sync16, 2.0, 1e-3, 1),
+            ("product_path", er400, zero, np.full(400, -2.5), 0.5, 1e-2, 1),
+            ("generic", er16, generic, sync16, 2.0, 1e-3, 1),
+            ("signed_zeros", er16, zero, signed_zeros, 2.0, 1e-3, 2),
+            ("backward", er16, zero, sync16, -2.0, 1e-3, 1),
+            ("decaying", er16, decaying, 1e-100 * np.linspace(-1.0, 2.0, 16), 1000.0, 1.0, 512),
+            ("moving_control", er16, kuramoto_model(0.5, 0.0), sync16, 0.3, 1e-3, 300)]
+
+
+@pytest.mark.parametrize("every", [1, 7, 10])
+@pytest.mark.parametrize("case", fixed_point_cases(), ids=lambda case: case[0])
+def test_fixed_point_stop_keeps_every_sample_bitwise(monkeypatch, case, every):
+    name, sys, model, u0, t_end, step, want_steps = case
+    steps = []
+    step_fn = dynamics._rk4_step
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: steps.append(1) or step_fn(*args))
+    traj = integrate(sys, model, u0, t_end, step, sample_every=every)
+    monkeypatch.undo()
+    times, states = rk4_step_loop(_rhs_fn(sys, model), u0, t_end, step, every)
+    assert same_bits(traj.times, times) and same_bits(traj.states, states), name
+    assert len(steps) == want_steps, (name, len(steps))
+
+
+def test_fixed_point_stop_fills_cloud_samples_bitwise(monkeypatch):
+    sys = sample_er(16, 0.5, 92)
+    clouds = np.full((sys.n, 3), 0.75)  # synchrony: every particle of every node at 0.75
+    steps = []
+    step_fn = dynamics._rk4_step
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: steps.append(1) or step_fn(*args))
+    traj = integrate_meanfield(sys, MeasureState(clouds), 0.5, 1e-3, sample_every=7)
+    monkeypatch.undo()
+    times, states = rk4_step_loop(lambda p: meanfield_rhs(sys, p), clouds, 0.5, 1e-3, 7)
+    assert same_bits(traj.times, times) and same_bits(traj.states, states)
+    assert len(steps) == 1

@@ -13,6 +13,7 @@ from graphlim import (
     make_finite_space,
     uniform_space,
 )
+from graphlim import norms
 
 
 def full_enumeration_norm(space, matrix):
@@ -289,3 +290,55 @@ def test_norm_result_json():
     doc = json.loads(r.to_json())
     assert doc["method"] == "exact_bruteforce"
     assert doc["witness_f"] == [1, 1, 1]
+
+
+def float64_scan_norm(space, matrix):
+    """The exact scan without a float32 screen: every high column scanned in float64."""
+    n = space.n
+    b = norms._bilinear_matrix(space, matrix)
+    k = min(norms._LOW_BITS, n - 1)
+    low = norms._sign_sums(b, range(k), np.zeros(n))
+    high = norms._sign_sums(b, range(k, n - 1), b[:, n - 1])
+    best_score, best_id = -1.0, 0
+    for h in range(high.shape[1]):
+        scores = np.add.reduce(np.abs(low + high[:, h:h + 1]), axis=0)
+        c = int(np.argmax(scores))
+        if scores[c] > best_score:
+            best_score, best_id = float(scores[c]), c + (h << k)
+    g = np.append(1.0 - 2.0 * ((best_id >> np.arange(n - 1)) & 1), 1.0)
+    f = np.where(b @ g >= 0, 1.0, -1.0)
+    return float(abs(f @ b @ g)), f, g
+
+
+def screen_cases():
+    for n in range(13, 25):
+        yield from norm_cases(n, 1)
+    for n in (5, 16, 23):  # every candidate ties: the screen rules out no column
+        for d in (np.zeros((n, n)), np.diag(np.linspace(0.5, 1.0, n)), np.full((n, n), 0.3)):
+            yield uniform_space(n), d
+    _, half = list(norm_cases(20, 1))[1]
+    for scale in (1e-300, 1e300):
+        yield uniform_space(20), half * scale
+    subnormal = half.copy()
+    subnormal[2, 7] = subnormal[7, 2] = 1e-310
+    yield uniform_space(20), subnormal
+    tiny = np.zeros((14, 14))
+    tiny[0, 13] = tiny[13, 0] = 1e-310
+    yield uniform_space(14), tiny
+
+
+def test_screened_exact_norm_is_the_float64_scan_bytewise():
+    for space, d in screen_cases():
+        r = inf_to_one_norm_exact(space, d)
+        value, f, g = float64_scan_norm(space, d)
+        assert r.value.hex() == value.hex(), (space.n, r.value, value)
+        assert np.array_equal(r.witness_f, f) and np.array_equal(r.witness_g, g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norms_reject_non_finite_matrices(bad):
+    # NaN - NaN and inf - inf are NaN, which passes a "> 1e-12" symmetry check
+    d = np.array([[0.0, bad], [1.0 if math.isnan(bad) else bad, 0.0]])
+    for norm in (inf_to_one_norm_exact, inf_to_one_norm_lower):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            norm(uniform_space(2), d)
