@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, config_field as _get
-from .dynamics import integrate, kuramoto_model
+from .dynamics import integrate, kuramoto_model, unlinked
 from .experiments import ExperimentReport, continuity_experiment, ghost_experiment, \
     twisted_residual, twisted_state
 from .graphop import spherical_graphop
@@ -177,7 +177,7 @@ def _run_simulate(cfg, out):
 
 def _write_report(out, report: ExperimentReport) -> int:
     """Write report.json and series.csv; exit status 1 only for a failed comparison."""
-    (out / "report.json").write_text(report.to_json())
+    unlinked(out / "report.json").write_text(report.to_json())
     report.series_to_csv(out / "series.csv")
     return 1 if report.passed is False else 0
 
@@ -237,7 +237,7 @@ def _run_audit(cfg, out):
             raise ConfigError("expect", f"unknown verdict {expect!r}; expected one of "
                                         f"{list(VERDICTS)}")
         report = check_automorphism(system, imap, tol)
-        (out / "report.json").write_text(report.to_json())
+        unlinked(out / "report.json").write_text(report.to_json())
         return 0 if expect is None or report.verdict == expect else 1
     if kind == "equivariance":
         series, target = _equivariance_series, _build_map(cfg, system.space)
@@ -281,7 +281,7 @@ def _run_norms(cfg, out):
                                        seed=_get(cfg, "seed", int, 0))
     else:
         raise ConfigError("method", f"unknown norm method {method!r}")
-    (out / "norm.json").write_text(result.to_json())
+    unlinked(out / "norm.json").write_text(result.to_json())
     return 0
 
 
@@ -312,7 +312,7 @@ def _write_manifest(out, cfg, threads, start, status, error=None):
     }
     if error is not None:
         manifest["error"] = error
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    unlinked(out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def run_config(cfg: dict, out_dir, threads: int | None = None) -> int:

@@ -34,7 +34,11 @@ A row is never split, so the block size changes no bit.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -79,7 +83,7 @@ def kuramoto_model(omega: float = 0.0, alpha: float = 0.0) -> KuramotoModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states: times (k,) strictly increasing, states (k, n)."""
+    """Sampled states: times (s,) strictly monotone, states (s, n), or (s, k, n) for k runs."""
 
     times: np.ndarray
     states: np.ndarray
@@ -99,6 +103,8 @@ class Trajectory:
 
     def to_csv(self, path):
         """CSV with header t,u_0,...,u_{n-1}; scalars keep full precision."""
+        if self.states.ndim != 2:
+            raise ValueError("an ensemble trajectory has no CSV form; write each member")
         write_csv(path, ["t"] + [f"u_{i}" for i in range(self.states.shape[1])],
                   ([t] + row.tolist() for t, row in zip(self.times.tolist(), self.states)))
 
@@ -108,10 +114,15 @@ def write_csv(path, header, rows):
 
     Cells go through ``str``: a string is written as is, and a Python float as its
     ``repr`` (the same text since Python 3.2), so it reads back bit for bit."""
-    with open(path, "w", newline="") as fh:
+    with open(unlinked(path), "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
             fh.write(",".join(map(str, row)) + "\r\n")
+
+
+def unlinked(path):
+    """``path``, with any file there unlinked so that writing it makes a new file."""
+    return Path(path).unlink(missing_ok=True) or path  # ext4 flushes a truncated file on close
 
 
 def rhs(system: CoupledSystem, model: ModelFunctions, state: np.ndarray) -> np.ndarray:
@@ -180,6 +191,7 @@ def _rhs_fn(system, model):
             pair *= wb
             s[nonempty] = np.add.reduceat(pair, starts)
         return omega + s  # a one-entry row may sum to -0.0, so omega = 0 is still added
+    large.parallel = len(blocks) > 1  # only then do ensemble threads pay: see ``integrate``
     return large
 
 
@@ -268,11 +280,35 @@ def integrate(system: CoupledSystem, model: ModelFunctions, state0,
               t_end: float, step: float = 1e-3, sample_every: int = 1) -> Trajectory:
     """Integrate the coupled system from state0 over [0, t_end].
 
-    Negative t_end integrates the time-reversed flow. The trajectory always
-    contains t=0 and t=t_end; intermediate states are kept every
-    ``sample_every`` steps.
+    Negative t_end integrates the time-reversed flow. The trajectory always contains t=0 and
+    t=t_end; intermediate states are kept every ``sample_every`` steps. A (k, n) ``state0``,
+    k >= 1, is an ensemble: states (samples, k, n), each member the bytes of a single run, on
+    any CPU count. Members run on up to one thread per CPU only on the Kuramoto product path
+    over several ``systems._row_blocks``, where numpy releases the GIL long enough to pay. All
+    are joined before the call returns; the lowest failing member's error is raised.
     """
-    u0 = _initial_state(state0, system.n)
-    times, states = _integrate_core(_rhs_fn(system, model), u0, float(t_end), float(step),
-                                    int(sample_every))
-    return Trajectory(times, states)
+    u0 = np.asarray(state0, dtype=np.float64)  # an empty stack fails as a (0, n) state
+    members = [_initial_state(u, system.n) for u in (u0 if u0.ndim == 2 and len(u0) else [u0])]
+    fn, span = _rhs_fn(system, model), (float(t_end), float(step), int(sample_every))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(members), cpus or 1) if getattr(fn, "parallel", False) else 1
+    runs, failed = [None] * len(members), {}
+    def run(first):  # members first, first + workers, ... up to this thread's first error
+        try:
+            for i in range(first, len(members), workers):
+                runs[i] = _integrate_core(fn, members[i], *span)
+        except Exception as exc:  # raised below, once every thread is joined
+            failed[i] = exc
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, first))
+               for first in range(1, workers)]  # the caller's context: its np.errstate holds
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
+    if failed:  # the lowest failing member, as a serial loop would raise
+        raise failed[min(failed)]
+    states = [states for _, states in runs]
+    return Trajectory(runs[0][0], np.stack(states, axis=1) if u0.ndim == 2 else states[0])

@@ -84,6 +84,24 @@ def test_ghost_command_and_rerun_byte_identical(tmp_path):
     assert report["passed"] is True
 
 
+def test_rerun_writes_new_artifact_files(tmp_path):
+    import os
+    cfg = {"command": "ghost", "n": 16, "p": 0.5, "seed": 3,
+           "map": {"type": "swap", "i": 0, "j": 1}, "u0": {"kind": "constant", "value": 1.0},
+           "t_end": 1.0, "step": 0.01, "sample_every": 10}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    names = ("report.json", "series.csv", "manifest.json")
+    old = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        os.link(out / name, tmp_path / f"old-{name}")
+    assert main(["run", write_config(tmp_path, dict(cfg, seed=4)), "--out", str(out)]) == 0
+    for name in names:  # the rerun unlinks each artifact instead of truncating it
+        assert (tmp_path / f"old-{name}").read_bytes() == old[name], name
+        assert (out / name).read_bytes() != old[name], name
+    assert json.loads((out / "report.json").read_text())["parameters"]["seed"] == 4
+
+
 def test_simulate_command(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "simulate",

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -755,3 +756,155 @@ def test_fixed_point_stop_fills_cloud_samples_bitwise(monkeypatch):
     times, states = rk4_step_loop(lambda p: meanfield_rhs(sys, p), clouds, 0.5, 1e-3, 7)
     assert same_bits(traj.times, times) and same_bits(traj.states, states)
     assert len(steps) == 1
+
+
+def ensemble_cases():
+    """(name, system, model, whether the bound RHS may run members on threads)."""
+    torus = discretize(geodesic_kernel("torus", 0.15, dim=2), make_grid_space("torus", (30, 30)))
+    generic = ModelFunctions(f=lambda u, s: 0.2 + s, g=lambda u, v: np.sin(v - u + 0.4))
+    return [("small_path", sample_er(23, 0.5, 60), kuramoto_model(0.3, 0.5), False),
+            ("product_one_block", sample_er(120, 0.2, 61), kuramoto_model(0.0, 1.0), False),
+            ("product_blocks", torus, kuramoto_model(0.7, 0.3), True),
+            ("generic_large", torus, generic, False)]
+
+
+def ensemble_states(n, k, seed=62):
+    return np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, (k, n))
+
+
+@pytest.mark.parametrize("t_end", [0.1, -0.1])
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("case", ensemble_cases(), ids=lambda case: case[0])
+def test_ensemble_members_are_single_runs_bytewise(case, every, t_end):
+    name, sys, model, parallel = case
+    assert getattr(_rhs_fn(sys, model), "parallel", False) is parallel
+    assert len(systems._row_blocks(sys.indptr)) > 1 or not parallel
+    for k in (1, 2, 3):
+        u0 = ensemble_states(sys.n, k)
+        traj = integrate(sys, model, u0, t_end, 1e-2, sample_every=every)
+        assert traj.states.shape == (traj.times.size, k, sys.n)
+        for i in range(k):
+            single = integrate(sys, model, u0[i], t_end, 1e-2, sample_every=every)
+            assert same_bits(traj.times, single.times), (name, k, i)
+            assert same_bits(traj.states[:, i], single.states), (name, k, i)
+
+
+def test_ensemble_threads_follow_the_rhs_path(monkeypatch):
+    import threading
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    seen, errstates = [], []
+    core = dynamics._integrate_core
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        errstates.append(np.geterr()["over"])
+        return core(*args)
+
+    monkeypatch.setattr(dynamics, "_integrate_core", recording)
+    for name, sys, model, parallel in ensemble_cases():
+        seen.clear()
+        with np.errstate(over="raise"):  # the caller's error state holds on every thread
+            integrate(sys, model, ensemble_states(sys.n, 3), 0.02, 1e-2)
+        assert len(seen) == 3 and len(set(seen)) == (min(3, cpus) if parallel else 1), name
+    assert set(errstates) == {"raise"}
+
+
+def test_ensemble_member_at_a_fixed_point_beside_a_moving_one(monkeypatch):
+    sys = sample_er(400, 0.5, 91)
+    u0 = np.stack([np.full(400, -2.5), ensemble_states(400, 1)[0]])
+    steps = []
+    step_fn = dynamics._rk4_step
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: steps.append(1) or step_fn(*args))
+    traj = integrate(sys, kuramoto_model(0.0, 0.0), u0, 0.5, 1e-2, sample_every=7)
+    monkeypatch.undo()
+    assert len(steps) == 1 + 50  # synchrony stops after one step, the other member takes 50
+    for i in range(2):
+        single = integrate(sys, kuramoto_model(0.0, 0.0), u0[i], 0.5, 1e-2, sample_every=7)
+        assert same_bits(traj.times, single.times) and same_bits(traj.states[:, i],
+                                                                 single.states)
+    assert np.all(traj.states[:, 0] == -2.5)
+
+
+def test_ensemble_bytes_do_not_depend_on_the_cpu_count():
+    import hashlib
+    import subprocess
+    import sys
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs to compare against one")
+    code = (
+        "import hashlib, os\n"
+        "import numpy as np\n"
+        "import graphlim as gl\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "space = gl.make_grid_space('torus', (30, 30))\n"
+        "system = gl.discretize(gl.geodesic_kernel('torus', 0.15, dim=2), space)\n"
+        "u0 = np.random.Generator(np.random.Philox(62)).uniform(0.0, 2.0 * np.pi, (3, 900))\n"
+        "traj = gl.integrate(system, gl.kuramoto_model(0.7, 0.3), u0, 0.1, 1e-2)\n"
+        "print(len(os.sched_getaffinity(0)), hashlib.sha256(traj.states.tobytes()).hexdigest())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout.split()
+    torus = ensemble_cases()[2][1]
+    traj = integrate(torus, kuramoto_model(0.7, 0.3), ensemble_states(900, 3), 0.1, 1e-2)
+    assert out == ["1", hashlib.sha256(traj.states.tobytes()).hexdigest()]
+
+
+@pytest.mark.parametrize("errors", [(NumericError, ValueError), (ValueError, NumericError)],
+                         ids=["numeric_first", "value_first"])
+@pytest.mark.parametrize("case", ensemble_cases()[:3], ids=lambda case: case[0])
+def test_ensemble_raises_the_lowest_failing_member_and_joins_every_thread(monkeypatch, case,
+                                                                          errors):
+    import threading
+    import time
+    name, sys, model, parallel = case
+    core = dynamics._integrate_core
+
+    def failing(fn, y0, *span):
+        if y0[0] == 10.0:  # member 1 fails after member 2 on a second thread
+            time.sleep(0.05)
+            raise errors[0]("member 1")
+        if y0[0] == 20.0:
+            raise errors[1]("member 2")
+        return core(fn, y0, *span)
+
+    u0 = ensemble_states(sys.n, 3)
+    u0[1, 0], u0[2, 0] = 10.0, 20.0
+    before = threading.active_count()
+    monkeypatch.setattr(dynamics, "_integrate_core", failing)
+    with pytest.raises(errors[0], match="member 1"):
+        integrate(sys, model, u0, 0.02, 1e-2)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite state"):
+        integrate(sys, kuramoto_model(1e308, 0.0), u0, 0.02, 1e-2)  # every member overflows
+    assert threading.active_count() == before
+    integrate(sys, model, u0, 0.02, 1e-2)
+    assert threading.active_count() == before
+
+
+def test_ensemble_states_are_checked_before_any_work(monkeypatch):
+    sys = ensemble_cases()[2][1]
+    calls = []
+    monkeypatch.setattr(dynamics, "_integrate_core", lambda *args: calls.append(1))
+    u0 = ensemble_states(sys.n, 3)
+    u0[2, 5] = np.nan
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate(sys, kuramoto_model(), u0, 0.1, 1e-2)
+    with pytest.raises(ValueError, match=r"\(0, 900\) does not match system size"):
+        integrate(sys, kuramoto_model(), np.zeros((0, sys.n)), 0.1, 1e-2)
+    with pytest.raises(ValueError, match="does not match system size"):
+        integrate(sys, kuramoto_model(), np.zeros((2, 2, sys.n)), 0.1, 1e-2)
+    with pytest.raises(ValueError, match="does not match system size"):
+        integrate(sys, kuramoto_model(), np.zeros((2, sys.n + 1)), 0.1, 1e-2)
+    assert calls == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        integrate(sys, kuramoto_model(), ensemble_states(sys.n, 2), np.inf, 1e-2)
+
+
+def test_ensemble_trajectory_has_no_csv_form(tmp_path):
+    traj = integrate(two_node_system(), kuramoto_model(), np.zeros((2, 2)), 0.1, 0.05)
+    with pytest.raises(ValueError, match="ensemble"):
+        traj.to_csv(tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()

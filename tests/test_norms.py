@@ -188,6 +188,27 @@ def test_exact_norm_does_not_depend_on_blas_threads():
     assert outs[0] == outs[1] and outs[0]
 
 
+def test_heuristic_norm_does_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+    code = (
+        "import graphlim as gl\n"
+        "system = gl.sample_er(400, 0.5, 3)\n"
+        "d = gl.adjacency_matrix(system) - 0.5\n"
+        "r = gl.inf_to_one_norm_lower(system.space, d, restarts=32, seed=3)\n"
+        "print(r.value.hex(), r.witness_f.tolist(), r.witness_g.tolist())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_exact_norm_on_weighted_space_matches_full_enumeration():
     rng = np.random.Generator(np.random.Philox(1234))
     s = make_finite_space(rng.uniform(0.2, 1.0, 7))

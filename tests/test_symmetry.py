@@ -688,3 +688,40 @@ def test_periodic_map_parameters_are_reduced_like_python_integers():
                   lambda: scaling_map(uniform_space(6), 2.5)):
         with pytest.raises(ValueError, match="whole numbers within int64"):
             build()
+
+
+def two_call_equivariance_series(system, model, imap, state0, t_end, step, sample_every):
+    """The audit as two separate integrations, the reference for the one ensemble call."""
+    from graphlim import integrate
+    u0 = np.asarray(state0, dtype=np.float64)
+    direct = integrate(system, model, u0, t_end, step, sample_every)
+    mapped = integrate(system, model, pullback(imap, u0), t_end, step, sample_every)
+    return direct.times, l1_distance(system.space, direct.states[:, imap.targets], mapped.states)
+
+
+@pytest.mark.parametrize("model", [kuramoto_model(0.0, 1.0), kuramoto_model(0.7, 0.3),
+                                   kuramoto_model(0.0, 0.0)], ids=["alpha1", "omega_alpha", "zero"])
+def test_equivariance_series_is_one_ensemble_call_with_the_two_call_bytes(monkeypatch, model):
+    torus = make_grid_space("torus", (30, 30))
+    sphere = make_grid_space("sphere2", (468,), symmetry_order=12)
+    rng = np.random.Generator(np.random.Philox(19))
+    cases = [(discretize(geodesic_kernel("torus", 0.15, dim=2), torus),
+              grid_shift_map(torus, (4, 11)), rng.uniform(0, 2 * np.pi, 900)),
+             (spherical_graphop(sphere), sphere_reflection_map(sphere),
+              rng.uniform(0, 2 * np.pi, 468)),
+             (sample_er(23, 0.5, 4), permutation_map(rng.permutation(23)),
+              rng.uniform(0, 2 * np.pi, 23))]
+    calls = []
+    integrate = symmetry.integrate
+    monkeypatch.setattr(symmetry, "integrate",
+                        lambda *args: calls.append(args[2].shape) or integrate(*args))
+    for system, imap, u0 in cases:
+        for t_end, every in ((0.1, 1), (-0.1, 7)):
+            calls.clear()
+            times, measured = symmetry._equivariance_series(system, model, imap, u0, t_end,
+                                                            1e-2, every)
+            assert calls == [(2, system.n)]
+            want_times, want = two_call_equivariance_series(system, model, imap, u0, t_end,
+                                                            1e-2, every)
+            assert times.tobytes() == want_times.tobytes()
+            assert measured.dtype == want.dtype and measured.tobytes() == want.tobytes()
