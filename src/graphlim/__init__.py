@@ -25,7 +25,6 @@ from .symmetry import AutomorphismReport, ClusterSubspace, FixedPointSubspace, \
     project_fixed, pullback, scaling_map, sphere_reflection_map, sphere_rotation_map, \
     subspace_distance, swap_map, torus_flip_map, torus_rotation_map
 from .graphop import graphop_from_weighted, spherical_graphop
-from .meanfield import MeasureState, MeasureTrajectory, integrate_meanfield, \
-    meanfield_rhs, measure_distance
+from .meanfield import MeasureState, integrate_meanfield, meanfield_rhs, measure_distance
 from .experiments import ExperimentReport, continuity_experiment, ghost_experiment, \
     symmetry_drift_experiment, twisted_residual, twisted_state

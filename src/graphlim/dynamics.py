@@ -83,7 +83,8 @@ def kuramoto_model(omega: float = 0.0, alpha: float = 0.0) -> KuramotoModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states: times (s,) strictly monotone, states (s, n), or (s, k, n) for k runs."""
+    """Sampled states: times (s,) strictly monotone, states (s, n), or (s, n, k) for k
+    values per node: the members of an ensemble or the particles of a cloud."""
 
     times: np.ndarray
     states: np.ndarray
@@ -102,11 +103,16 @@ class Trajectory:
                 raise ValueError("times must be strictly monotone")
 
     def to_csv(self, path):
-        """CSV with header t,u_0,...,u_{n-1}; scalars keep full precision."""
-        if self.states.ndim != 2:
-            raise ValueError("an ensemble trajectory has no CSV form; write each member")
-        write_csv(path, ["t"] + [f"u_{i}" for i in range(self.states.shape[1])],
-                  ([t] + row.tolist() for t, row in zip(self.times.tolist(), self.states)))
+        """CSV with header t,u_0,...,u_{n-1}, or t,node,particle,value (one line per value,
+        a frame's lines as one prebuilt cell) for (s, n, k) states; scalars keep full precision."""
+        times = self.times.tolist()
+        if self.states.ndim == 2:
+            return write_csv(path, ["t"] + [f"u_{i}" for i in range(self.states.shape[1])],
+                             ([t] + row.tolist() for t, row in zip(times, self.states)))
+        frames = ("\r\n".join([f"{head}{p},{v!r}" for i, row in enumerate(frame.tolist())
+                                for head in (f"{t!r},{i},",) for p, v in enumerate(row)])
+                  for t, frame in zip(times, self.states))
+        write_csv(path, ["t", "node", "particle", "value"], ((f,) for f in frames if f))
 
 
 def write_csv(path, header, rows):
@@ -281,14 +287,14 @@ def integrate(system: CoupledSystem, model: ModelFunctions, state0,
     """Integrate the coupled system from state0 over [0, t_end].
 
     Negative t_end integrates the time-reversed flow. The trajectory always contains t=0 and
-    t=t_end; intermediate states are kept every ``sample_every`` steps. A (k, n) ``state0``,
-    k >= 1, is an ensemble: states (samples, k, n), each member the bytes of a single run, on
-    any CPU count. Members run on up to one thread per CPU only on the Kuramoto product path
-    over several ``systems._row_blocks``, where numpy releases the GIL long enough to pay. All
-    are joined before the call returns; the lowest failing member's error is raised.
+    t=t_end; intermediate states are kept every ``sample_every`` steps. An (n, k) ``state0``,
+    k >= 1, is an ensemble of its columns: states (samples, n, k), each member the bytes of a
+    single run, on any CPU count. Members run on up to one thread per CPU only on the Kuramoto
+    product path over several ``systems._row_blocks``, where numpy releases the GIL long enough
+    to pay. All are joined before the call returns; the lowest failing member's error is raised.
     """
-    u0 = np.asarray(state0, dtype=np.float64)  # an empty stack fails as a (0, n) state
-    members = [_initial_state(u, system.n) for u in (u0 if u0.ndim == 2 and len(u0) else [u0])]
+    u0 = np.asarray(state0, dtype=np.float64)  # an empty ensemble fails as an (n, 0) state
+    members = [_initial_state(u, system.n) for u in (u0.T if u0.ndim == 2 and u0.size else [u0])]
     fn, span = _rhs_fn(system, model), (float(t_end), float(step), int(sample_every))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(members), cpus or 1) if getattr(fn, "parallel", False) else 1
@@ -311,4 +317,4 @@ def integrate(system: CoupledSystem, model: ModelFunctions, state0,
     if failed:  # the lowest failing member, as a serial loop would raise
         raise failed[min(failed)]
     states = [states for _, states in runs]
-    return Trajectory(runs[0][0], np.stack(states, axis=1) if u0.ndim == 2 else states[0])
+    return Trajectory(runs[0][0], np.stack(states, axis=2) if u0.ndim == 2 else states[0])

@@ -110,10 +110,17 @@ def _check_span(t_end):
         raise ValueError(f"t_end must be positive for a bounded experiment, got {t_end!r}")
 
 
-def _norm_for(space, diff, heuristic_seed=0):
-    if space.n <= EXACT_NORM_MAX_N:
-        return inf_to_one_norm_exact(space, diff), True
-    return inf_to_one_norm_lower(space, diff, restarts=32, seed=heuristic_seed), False
+def _bound_report(space, diff, heuristic_seed=0):
+    """The norm of ``diff`` now, and the report of a measured series against ``bound(d0,
+    norm, times)`` later, with parameters d0, norm and norm_method appended. The exact norm
+    certifies the verdict; the 32-restart lower bound past ``EXACT_NORM_MAX_N`` nodes only
+    informs."""
+    certified = space.n <= EXACT_NORM_MAX_N
+    norm = (inf_to_one_norm_exact(space, diff) if certified
+            else inf_to_one_norm_lower(space, diff, restarts=32, seed=heuristic_seed))
+    return lambda name, parameters, bound, d0, times, measured: ExperimentReport.from_series(
+        name, {**parameters, "d0": d0, "norm": norm.value, "norm_method": norm.method},
+        times, measured, bound=bound(d0, norm.value, times), certified=certified)
 
 
 def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
@@ -138,16 +145,11 @@ def ghost_experiment(n: int, p: float, seed: int, u0_symmetric, imap: IndexMap,
 
     diff = adjacency_matrix(system)
     diff -= p
-    norm_res, exact = _norm_for(space, diff, heuristic_seed=seed)
-
+    report = _bound_report(space, diff, heuristic_seed=seed)
     traj = integrate(system, kuramoto_model(0.0, 0.0), u0, t_end, step, sample_every)
     measured = l1_distance(space, traj.states[:, imap.targets], traj.states)
-    return ExperimentReport.from_series(
-        "ghost",
-        {"n": n, "p": p, "seed": seed, "t_end": t_end, "step": step,
-         "d0": 0.0, "norm": norm_res.value, "norm_method": norm_res.method},
-        traj.times, measured, bound=ghost_bound(0.0, norm_res.value, traj.times),
-        certified=exact)
+    return report("ghost", {"n": n, "p": p, "seed": seed, "t_end": t_end, "step": step},
+                  ghost_bound, 0.0, traj.times, measured)
 
 
 def continuity_experiment(space: IndexSpace, kernel_w: Kernel, kernel_u: Kernel,
@@ -166,19 +168,13 @@ def continuity_experiment(space: IndexSpace, kernel_w: Kernel, kernel_u: Kernel,
     v0 = _initial_state(v0, space.n)
     union, _ = disjoint_union([discretize(kernel_w, space, label="W"),
                                discretize(kernel_u, space, label="U")])
-    diff = kernel_w.matrix(space) - kernel_u.matrix(space)
-    norm_res, exact = _norm_for(space, diff)
+    report = _bound_report(space, kernel_w.matrix(space) - kernel_u.matrix(space))
     traj = integrate(union, kuramoto_model(0.0, 0.0), np.concatenate([u0, v0]), t_end, step,
                      sample_every)
     n = space.n
-    d0 = l1_distance(space, u0, v0)
     measured = l1_distance(space, traj.states[:, :n], traj.states[:, n:])
-    return ExperimentReport.from_series(
-        "continuity",
-        {"n": n, "t_end": t_end, "step": step, "d0": d0,
-         "norm": norm_res.value, "norm_method": norm_res.method},
-        traj.times, measured, bound=gronwall_bound(d0, norm_res.value, traj.times),
-        certified=exact)
+    return report("continuity", {"n": n, "t_end": t_end, "step": step}, gronwall_bound,
+                  l1_distance(space, u0, v0), traj.times, measured)
 
 
 def symmetry_drift_experiment(system: CoupledSystem, imap: IndexMap, u0,

@@ -173,8 +173,8 @@ def canonical_embedding(adjacency) -> BlockKernel:
     Accepts 0/1 adjacency matrices and, more generally, symmetric weight
     matrices with entries in [0, 1].
     """
-    a = _unit_symmetric(adjacency, "adjacency")
-    n = a.shape[0]
+    a = np.asarray(adjacency, dtype=np.float64)  # BlockKernel checks it as its block matrix
+    n = max([1, *a.shape[:1]])  # 1 for a 0-d or empty input, which BlockKernel rejects
     boundaries = np.arange(n + 1, dtype=np.float64) / n
     boundaries[-1] = 1.0
     return BlockKernel(boundaries, a)

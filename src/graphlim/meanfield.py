@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _integrate_core, _rhs_fn, kuramoto_model, write_csv
+from .dynamics import Trajectory, _integrate_core, _rhs_fn, kuramoto_model
 from .space import IndexSpace, _frozen
 from .systems import CoupledSystem
 
@@ -78,33 +78,14 @@ def _meanfield_rhs_fn(system, m):
     return fn
 
 
-@dataclass(frozen=True)
-class MeasureTrajectory:
-    """Sampled measure states: times (k,), states (k, nodes, particles)."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def to_csv(self, path):
-        """Long-format CSV t,node,particle,value; a frame's lines go as one prebuilt cell."""
-        times = np.asarray(self.times, dtype=np.float64).tolist()
-        frames = ("\r\n".join([f"{head}{p},{v!r}" for i, row in enumerate(frame.tolist())
-                                for head in (f"{t!r},{i},",) for p, v in enumerate(row)])
-                  for t, frame in zip(times, np.asarray(self.states, dtype=np.float64)))
-        write_csv(path, ["t", "node", "particle", "value"], ((f,) for f in frames if f))
-
-
 def integrate_meanfield(system: CoupledSystem, mstate0, t_end: float,
-                        step: float = 1e-3, sample_every: int = 1) -> MeasureTrajectory:
-    """Fixed-step RK4 on the coupled particle system."""
+                        step: float = 1e-3, sample_every: int = 1) -> Trajectory:
+    """Fixed-step RK4 on the coupled particle system; states (samples, nodes, particles)."""
     p0 = (mstate0 if isinstance(mstate0, MeasureState) else MeasureState(mstate0)).particles
-
     if p0.shape[0] != system.n:
         raise ValueError("particle array shape does not match the system")
-
-    times, states = _integrate_core(_meanfield_rhs_fn(system, p0.shape[1]), p0, float(t_end),
-                                    float(step), int(sample_every))
-    return MeasureTrajectory(times, states)
+    return Trajectory(*_integrate_core(_meanfield_rhs_fn(system, p0.shape[1]), p0, float(t_end),
+                                       float(step), int(sample_every)))
 
 
 def measure_distance(space: IndexSpace, particles_a, particles_b) -> float:

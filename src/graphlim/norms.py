@@ -10,10 +10,8 @@ and scores sum_i |(B g)_i|, the value at f = sign(B g), as one column of
 partial sums over the low free signs plus one over the high ones: O(n
 2^(n-1)) adds and O(n 2^(n/2)) memory, no BLAS, so the result does not
 depend on the thread count; a float32 screen halves its cost, same bits (see
-``inf_to_one_norm_exact``). Among tied optima the witness may differ from earlier
-versions' (a matrix-product scan); the value agrees to rounding.
-The heuristic alternates sign improvements from random starts and always
-returns a lower bound.
+``inf_to_one_norm_exact``). The heuristic alternates sign improvements from
+random starts and always returns a lower bound.
 """
 
 from __future__ import annotations

@@ -388,8 +388,10 @@ def _equivariance_series(system: CoupledSystem, model: ModelFunctions, imap: Ind
                          state0, t_end: float, step: float = 1e-3, sample_every: int = 1):
     """Sample times and commutator deviations ||phi*(Phi_t u) - Phi_t(phi* u)||_1."""
     u0 = np.asarray(state0, dtype=np.float64)
-    traj = integrate(system, model, np.stack([u0, pullback(imap, u0)]), t_end, step, sample_every)
-    return traj.times, l1_distance(system.space, traj.states[:, 0, imap.targets], traj.states[:, 1])
+    traj = integrate(system, model, np.stack([u0, pullback(imap, u0)], axis=1), t_end, step,
+                     sample_every)
+    return traj.times, l1_distance(system.space, traj.states[:, imap.targets, 0],
+                                   traj.states[:, :, 1])
 
 
 def equivariance_audit(system: CoupledSystem, model: ModelFunctions, imap: IndexMap,

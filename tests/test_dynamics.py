@@ -769,7 +769,8 @@ def ensemble_cases():
 
 
 def ensemble_states(n, k, seed=62):
-    return np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, (k, n))
+    """An (n, k) ensemble, column j member j; a transposed view, so not C-contiguous."""
+    return np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, (k, n)).T
 
 
 @pytest.mark.parametrize("t_end", [0.1, -0.1])
@@ -781,12 +782,13 @@ def test_ensemble_members_are_single_runs_bytewise(case, every, t_end):
     assert len(systems._row_blocks(sys.indptr)) > 1 or not parallel
     for k in (1, 2, 3):
         u0 = ensemble_states(sys.n, k)
-        traj = integrate(sys, model, u0, t_end, 1e-2, sample_every=every)
-        assert traj.states.shape == (traj.times.size, k, sys.n)
-        for i in range(k):
-            single = integrate(sys, model, u0[i], t_end, 1e-2, sample_every=every)
-            assert same_bits(traj.times, single.times), (name, k, i)
-            assert same_bits(traj.states[:, i], single.states), (name, k, i)
+        for ensemble in (u0, np.ascontiguousarray(u0)):
+            traj = integrate(sys, model, ensemble, t_end, 1e-2, sample_every=every)
+            assert traj.states.shape == (traj.times.size, sys.n, k)
+            for i in range(k):
+                single = integrate(sys, model, u0[:, i], t_end, 1e-2, sample_every=every)
+                assert same_bits(traj.times, single.times), (name, k, i)
+                assert same_bits(traj.states[:, :, i], single.states), (name, k, i)
 
 
 def test_ensemble_threads_follow_the_rhs_path(monkeypatch):
@@ -811,7 +813,7 @@ def test_ensemble_threads_follow_the_rhs_path(monkeypatch):
 
 def test_ensemble_member_at_a_fixed_point_beside_a_moving_one(monkeypatch):
     sys = sample_er(400, 0.5, 91)
-    u0 = np.stack([np.full(400, -2.5), ensemble_states(400, 1)[0]])
+    u0 = np.stack([np.full(400, -2.5), ensemble_states(400, 1)[:, 0]], axis=1)
     steps = []
     step_fn = dynamics._rk4_step
     monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: steps.append(1) or step_fn(*args))
@@ -819,10 +821,10 @@ def test_ensemble_member_at_a_fixed_point_beside_a_moving_one(monkeypatch):
     monkeypatch.undo()
     assert len(steps) == 1 + 50  # synchrony stops after one step, the other member takes 50
     for i in range(2):
-        single = integrate(sys, kuramoto_model(0.0, 0.0), u0[i], 0.5, 1e-2, sample_every=7)
-        assert same_bits(traj.times, single.times) and same_bits(traj.states[:, i],
+        single = integrate(sys, kuramoto_model(0.0, 0.0), u0[:, i], 0.5, 1e-2, sample_every=7)
+        assert same_bits(traj.times, single.times) and same_bits(traj.states[:, :, i],
                                                                  single.states)
-    assert np.all(traj.states[:, 0] == -2.5)
+    assert np.all(traj.states[:, :, 0] == -2.5)
 
 
 def test_ensemble_bytes_do_not_depend_on_the_cpu_count():
@@ -838,7 +840,7 @@ def test_ensemble_bytes_do_not_depend_on_the_cpu_count():
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "space = gl.make_grid_space('torus', (30, 30))\n"
         "system = gl.discretize(gl.geodesic_kernel('torus', 0.15, dim=2), space)\n"
-        "u0 = np.random.Generator(np.random.Philox(62)).uniform(0.0, 2.0 * np.pi, (3, 900))\n"
+        "u0 = np.random.Generator(np.random.Philox(62)).uniform(0.0, 2.0 * np.pi, (3, 900)).T\n"
         "traj = gl.integrate(system, gl.kuramoto_model(0.7, 0.3), u0, 0.1, 1e-2)\n"
         "print(len(os.sched_getaffinity(0)), hashlib.sha256(traj.states.tobytes()).hexdigest())\n"
     )
@@ -869,7 +871,7 @@ def test_ensemble_raises_the_lowest_failing_member_and_joins_every_thread(monkey
         return core(fn, y0, *span)
 
     u0 = ensemble_states(sys.n, 3)
-    u0[1, 0], u0[2, 0] = 10.0, 20.0
+    u0[0, 1], u0[0, 2] = 10.0, 20.0
     before = threading.active_count()
     monkeypatch.setattr(dynamics, "_integrate_core", failing)
     with pytest.raises(errors[0], match="member 1"):
@@ -888,23 +890,32 @@ def test_ensemble_states_are_checked_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(dynamics, "_integrate_core", lambda *args: calls.append(1))
     u0 = ensemble_states(sys.n, 3)
-    u0[2, 5] = np.nan
+    u0[5, 2] = np.nan
     with pytest.raises(ValueError, match="initial state must be finite"):
         integrate(sys, kuramoto_model(), u0, 0.1, 1e-2)
-    with pytest.raises(ValueError, match=r"\(0, 900\) does not match system size"):
-        integrate(sys, kuramoto_model(), np.zeros((0, sys.n)), 0.1, 1e-2)
+    with pytest.raises(ValueError, match=r"\(900, 0\) does not match system size"):
+        integrate(sys, kuramoto_model(), np.zeros((sys.n, 0)), 0.1, 1e-2)
     with pytest.raises(ValueError, match="does not match system size"):
-        integrate(sys, kuramoto_model(), np.zeros((2, 2, sys.n)), 0.1, 1e-2)
+        integrate(sys, kuramoto_model(), np.zeros((sys.n, 2, 2)), 0.1, 1e-2)
     with pytest.raises(ValueError, match="does not match system size"):
-        integrate(sys, kuramoto_model(), np.zeros((2, sys.n + 1)), 0.1, 1e-2)
+        integrate(sys, kuramoto_model(), np.zeros((sys.n + 1, 2)), 0.1, 1e-2)
+    with pytest.raises(ValueError, match=r"\(2,\) does not match system size"):  # member rows
+        integrate(sys, kuramoto_model(), np.zeros((2, sys.n)), 0.1, 1e-2)
     assert calls == []
     monkeypatch.undo()
     with pytest.raises(ValueError, match="t_end must be finite"):
         integrate(sys, kuramoto_model(), ensemble_states(sys.n, 2), np.inf, 1e-2)
 
 
-def test_ensemble_trajectory_has_no_csv_form(tmp_path):
-    traj = integrate(two_node_system(), kuramoto_model(), np.zeros((2, 2)), 0.1, 0.05)
-    with pytest.raises(ValueError, match="ensemble"):
-        traj.to_csv(tmp_path / "t.csv")
-    assert not (tmp_path / "t.csv").exists()
+def test_ensemble_trajectory_csv_is_the_long_form(tmp_path):
+    # member j of an (n, k) ensemble is the particle column j, as in a k-particle cloud
+    import csv
+    u0 = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]])
+    traj = integrate(two_node_system(), kuramoto_model(0.3, 0.1), u0, 0.1, 0.05)
+    traj.to_csv(tmp_path / "t.csv")
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "node", "particle", "value"]
+    assert rows[1:] == [[repr(t), str(i), str(j), repr(frame[i][j])]
+                        for t, frame in zip(traj.times.tolist(), traj.states.tolist())
+                        for i in range(2) for j in range(3)]

@@ -260,7 +260,8 @@ def test_ghost_checks_its_initial_state_before_any_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computed a norm")
 
-    monkeypatch.setattr("graphlim.experiments._norm_for", refuse)
+    monkeypatch.setattr("graphlim.experiments.inf_to_one_norm_exact", refuse)
+    monkeypatch.setattr("graphlim.experiments.inf_to_one_norm_lower", refuse)
     u0 = np.ones(23)
     u0[5] = np.nan
     with pytest.raises(ValueError, match="initial state must be finite"):

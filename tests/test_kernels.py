@@ -106,8 +106,17 @@ def test_canonical_embedding_all_ones():
 
 
 def test_canonical_embedding_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        canonical_embedding(np.array([[0, 1], [0, 0]]))
+    import warnings
+    # asymmetric, then the other malformed adjacencies: ragged, 0-d, 1-D, empty, non-square,
+    # outside [0, 1], NaN; each is a ValueError (CLI exit 2), never an IndexError or a warning
+    cases = [np.array([[0, 1], [0, 0]]), [[0.0, 1.0], [1.0]], 0.5, [0.0, 1.0], np.zeros((0, 0)),
+             np.zeros((2, 3)), [[0.0, 2.0], [2.0, 0.0]], [[0.0, -1.0], [-1.0, 0.0]],
+             [[np.nan, 0.0], [0.0, 0.0]]]
+    for adjacency in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                canonical_embedding(adjacency)
 
 
 def test_block_kernel_validation():

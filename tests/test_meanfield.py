@@ -4,7 +4,7 @@ import pytest
 from graphlim import (
     ConstantKernel,
     MeasureState,
-    MeasureTrajectory,
+    Trajectory,
     canonical_embedding,
     discretize,
     geodesic_kernel,
@@ -175,6 +175,8 @@ def test_shape_validation():
     sys = constant_system(4)
     with pytest.raises(ValueError):
         meanfield_rhs(sys, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="particle array shape does not match the system"):
+        integrate_meanfield(sys, MeasureState(np.zeros((3, 2))), 0.1, 1e-2)
     with pytest.raises(ValueError):
         MeasureState(np.zeros((0, 3)))
     with pytest.raises(ValueError):
@@ -198,9 +200,10 @@ def test_measure_csv_matches_csv_writer(tmp_path):
     rng = np.random.Generator(np.random.Philox(11))
     traj = integrate_meanfield(sample_er(12, 0.5, 3), MeasureState(rng.uniform(-9, 9, (12, 7))),
                                0.3, 1e-2, sample_every=4)
-    odd = MeasureTrajectory(np.array([0.0, 1e-300, 2.5e17]),
-                            np.array([[[-0.0, np.nan, 1 / 3]], [[np.inf, -np.inf, 5e-324]],
-                                      [[1e300, 0.1 + 0.2, -7.0]]]))
+    odd = Trajectory(np.array([0.0, 1e-300, 2.5e17]),
+                     np.array([[[-0.0, np.nan, 1 / 3]], [[np.inf, -np.inf, 5e-324]],
+                               [[1e300, 0.1 + 0.2, -7.0]]]))
+    assert type(traj) is Trajectory
     for k, tr in enumerate((traj, odd)):
         path, ref = tmp_path / f"m{k}.csv", tmp_path / f"r{k}.csv"
         tr.to_csv(path)

@@ -143,3 +143,18 @@ def test_space_copies_writable_caller_arrays():
     assert s.coords[:, 0].tolist() == [0.1, 0.6] and s.weights.tolist() == [0.5, 0.5]
     again = IndexSpace("interval", s.coords, s.weights)  # read-only inputs are shared
     assert np.shares_memory(again.coords, s.coords) and np.shares_memory(again.weights, s.weights)
+
+
+@pytest.mark.parametrize("geometry, coords, weights, message", [
+    ("hyperbolic", [[0.5]], [1.0], "unknown geometry"),
+    ("abstract", np.zeros((0, 1)), [], "at least one node"),
+    ("abstract", [[0.0], [1.0]], [1.0], "matching length"),
+    ("abstract", [[0.0], [1.0]], [1.5, -0.5], "strictly positive"),
+    ("abstract", [[0.0], [1.0]], [0.5, 0.6], "weights sum to"),
+    ("torus", [[0.25, 0.5], [0.75, 1.0]], [0.5, 0.5], "torus coordinates must lie in"),
+    ("sphere2", [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], "3-vectors"),
+], ids=["unknown_geometry", "no_nodes", "length_mismatch", "nonpositive_weight",
+        "weights_not_summing_to_one", "torus_coordinate_outside", "sphere_not_3_vectors"])
+def test_index_space_rejects_malformed_input(geometry, coords, weights, message):
+    with pytest.raises(ValueError, match=message):
+        IndexSpace(geometry, np.array(coords, dtype=float), np.array(weights, dtype=float))

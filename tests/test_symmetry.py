@@ -720,8 +720,43 @@ def test_equivariance_series_is_one_ensemble_call_with_the_two_call_bytes(monkey
             calls.clear()
             times, measured = symmetry._equivariance_series(system, model, imap, u0, t_end,
                                                             1e-2, every)
-            assert calls == [(2, system.n)]
+            assert calls == [(system.n, 2)]
             want_times, want = two_call_equivariance_series(system, model, imap, u0, t_end,
                                                             1e-2, every)
             assert times.tobytes() == want_times.tobytes()
             assert measured.dtype == want.dtype and measured.tobytes() == want.tobytes()
+
+
+_INTERVAL8 = make_grid_space("interval", (8,))
+_TORUS34 = make_grid_space("torus", (3, 4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IndexMap(np.array([], dtype=np.int64)), "at least one node"),
+    (lambda: IndexMap([0, 3, 1]), "map targets out of range"),
+    (lambda: permutation_map([0, 0, 1]), "do not form a permutation"),
+    (lambda: interval_reflection_map(_TORUS34), "interval or abstract space"),
+    (lambda: sphere_reflection_map(_INTERVAL8), "no latitude band structure"),
+    (lambda: grid_shift_map(make_finite_space([1, 1]), [1]), "interval or torus grid"),
+    (lambda: torus_flip_map(_INTERVAL8, 0), "torus grid"),
+    (lambda: torus_rotation_map(_INTERVAL8), "2-dimensional torus grid"),
+    (lambda: sphere_rotation_map(_TORUS34), "no latitude band structure"),
+    (lambda: torus_rotation_map(_TORUS34), "square grid"),
+    (lambda: grid_shift_map(_TORUS34, [1]), "steps must match the grid dimension"),
+], ids=["empty_map", "targets_out_of_range", "not_a_permutation", "reflection_on_torus",
+        "sphere_reflection_on_interval", "shift_on_abstract", "flip_on_interval",
+        "rotation_on_interval", "sphere_rotation_on_torus", "non_square_rotation",
+        "steps_of_wrong_length"])
+def test_index_maps_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_automorphism(sample_er(5, 0.5, 1), identity_map(4), 1e-12),
+     "map size does not match the system"),
+    (lambda: ClusterSubspace([[0, -1]]), "nonnegative node indices"),
+], ids=["automorphism_size_mismatch", "negative_cluster_index"])
+def test_audit_inputs_of_the_wrong_size_or_sign_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

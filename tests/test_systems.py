@@ -672,3 +672,16 @@ def test_builders_hand_over_frozen_arrays(build, monkeypatch):
     monkeypatch.setattr(systems, "_frozen", spy)
     build()
     assert copies and not any(copies)
+
+
+@pytest.mark.parametrize("indptr, indices, weights, message", [
+    ([0, 1, 2], [1, 0], [0.5, 0.5], "malformed row pointers"),
+    ([0, 2, 1, 2], [1, 2], [0.5, 0.5], "row pointers must be nondecreasing"),
+    ([0, 1, 1, 2], [1, 0], [0.5], "indices and weights must be 1-D of matching length"),
+    ([0, 1, 1, 1], [3], [0.5], "neighbor index out of range"),
+    ([0, 2, 2, 2], [1, 2], [0.6, 0.6], "row masses must not exceed 1"),
+], ids=["short_indptr", "decreasing_indptr", "length_mismatch", "neighbor_out_of_range",
+        "row_mass_above_one"])
+def test_coupled_system_rejects_malformed_rows(indptr, indices, weights, message):
+    with pytest.raises(ValueError, match=message):
+        CoupledSystem(uniform_space(3), np.array(indptr), np.array(indices), np.array(weights))
